@@ -34,7 +34,7 @@ struct Phase {
   };
   Kind kind = Kind::kCompute;
   /// kCompute: per-rank work at fmax.
-  Duration compute;
+  Duration compute{};
   /// Collectives: per-block / per-segment message size in bytes.
   Bytes bytes = 0;
   /// Back-to-back calls of this phase per iteration.
@@ -70,10 +70,6 @@ struct AppReport {
   std::map<std::string, mpi::OpStats> profile;
   /// Mean power per node (only with ObsOptions::per_node_meter).
   std::vector<Watts> mean_node_power;
-
-  [[deprecated("use status.ok() / status.outcome")]] bool completed() const {
-    return status.ok();
-  }
 };
 
 /// Runs the workload on a simulated cluster under the given power scheme.

@@ -23,6 +23,7 @@
 #include <string>
 #include <string_view>
 
+#include "mpi/extent.hpp"
 #include "sim/task.hpp"
 #include "util/units.hpp"
 
@@ -33,6 +34,9 @@ enum class GovernorKind : std::uint8_t;
 }  // namespace pacc::mpi
 
 namespace pacc::coll {
+
+using mpi::ConstExtent;
+using mpi::Extent;
 
 /// Power optimisation applied to a collective call (§V, §VII).
 enum class PowerScheme {
@@ -96,10 +100,11 @@ inline constexpr std::uint8_t kSchemesAll =
 
 /// One collective invocation, op-agnostic: the registry's executor hooks
 /// receive the union of every op's arguments so a single call shape drives
-/// the whole table. Spans the op does not use stay empty.
+/// the whole table. Buffers the op does not use stay empty; size-only
+/// extents (mpi/extent.hpp) run the call without payload memory.
 struct AlgoCall {
-  std::span<std::byte> send;               ///< send buffer (bcast: in/out)
-  std::span<std::byte> recv;               ///< receive / result buffer
+  Extent send;                             ///< send buffer (bcast: in/out)
+  Extent recv;                             ///< receive / result buffer
   std::span<const Bytes> send_counts;      ///< alltoallv only
   std::span<const Bytes> recv_counts;      ///< alltoallv only
   Bytes block = 0;       ///< per-peer block / message size

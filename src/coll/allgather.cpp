@@ -13,8 +13,7 @@ namespace pacc::coll {
 
 namespace {
 
-void check(const mpi::Comm& comm, std::span<const std::byte> send,
-           std::span<std::byte> recv, Bytes block) {
+void check(const mpi::Comm& comm, ConstExtent send, Extent recv, Bytes block) {
   PACC_EXPECTS(block >= 0);
   PACC_EXPECTS(send.size() == static_cast<std::size_t>(block));
   PACC_EXPECTS(recv.size() == static_cast<std::size_t>(comm.size()) *
@@ -23,9 +22,8 @@ void check(const mpi::Comm& comm, std::span<const std::byte> send,
 
 }  // namespace
 
-sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block) {
+sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block) {
   check(comm, send, recv, block);
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
@@ -33,16 +31,15 @@ sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const auto blk = static_cast<std::size_t>(block);
 
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk, send.data(),
-             blk);
+  copy_bytes(recv.subspan(static_cast<std::size_t>(me) * blk, blk), send);
   const int right = (me + 1) % P;
   const int left = (me - 1 + P) % P;
   for (int step = 0; step < P - 1; ++step) {
     const int send_block = (me - step + P) % P;
     const int recv_block = (me - step - 1 + P) % P;
-    co_await self.send(comm.global_rank(right), tag,
-                       std::span<const std::byte>(recv).subspan(
-                           static_cast<std::size_t>(send_block) * blk, blk));
+    co_await self.send(
+        comm.global_rank(right), tag,
+        recv.subspan(static_cast<std::size_t>(send_block) * blk, blk));
     co_await self.recv(comm.global_rank(left), tag,
                        recv.subspan(static_cast<std::size_t>(recv_block) * blk,
                                     blk));
@@ -50,8 +47,7 @@ sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> allgather_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
-                                         std::span<const std::byte> send,
-                                         std::span<std::byte> recv,
+                                         ConstExtent send, Extent recv,
                                          Bytes block) {
   check(comm, send, recv, block);
   const int P = comm.size();
@@ -61,8 +57,7 @@ sim::Task<> allgather_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const auto blk = static_cast<std::size_t>(block);
 
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk, send.data(),
-             blk);
+  copy_bytes(recv.subspan(static_cast<std::size_t>(me) * blk, blk), send);
   // After round k this rank owns the 2^(k+1)-aligned window containing it.
   for (int mask = 1; mask < P; mask <<= 1) {
     const int partner = me ^ mask;
@@ -70,18 +65,16 @@ sim::Task<> allgather_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
     const int partner_base = partner & ~(mask - 1);
     co_await self.sendrecv(
         comm.global_rank(partner), tag,
-        std::span<const std::byte>(recv).subspan(
-            static_cast<std::size_t>(my_base) * blk,
-            static_cast<std::size_t>(mask) * blk),
+        recv.subspan(static_cast<std::size_t>(my_base) * blk,
+                     static_cast<std::size_t>(mask) * blk),
         comm.global_rank(partner), tag,
         recv.subspan(static_cast<std::size_t>(partner_base) * blk,
                      static_cast<std::size_t>(mask) * blk));
   }
 }
 
-sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv, Bytes block,
+sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                          Extent recv, Bytes block,
                           const AllgatherOptions& options) {
   check(comm, send, recv, block);
   PACC_EXPECTS_MSG(comm.uniform_ppn(), "two-level allgather needs uniform ppn");
@@ -97,7 +90,7 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
   const int node_root = 0;  // lowest comm rank on the node == leader
 
   // Stage 1: intra-node gather of c blocks to the leader.
-  std::vector<std::byte> node_blocks;
+  Scratch node_blocks(self);
   {
     CollPhase phase(self, "allgather.gather");
     if (leader) node_blocks.resize(static_cast<std::size_t>(c) * blk);
@@ -106,7 +99,7 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
   }
 
   // Stage 2: leaders exchange node aggregates; non-leaders throttle (§V-B).
-  std::vector<std::byte> gathered;
+  Scratch gathered(self);
   {
     CollPhase phase(self, "allgather.inter_leader");
     const bool core_level = self.machine().params().core_level_throttling;
@@ -140,17 +133,14 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
   // shared memory.
   {
     CollPhase phase(self, "allgather.intra_bcast");
-    std::span<std::byte> full =
-        leader ? std::span<std::byte>(gathered) : recv;
+    const Extent full = leader ? gathered.extent() : recv;
     co_await bcast_intra_node(self, node_comm, full, node_root);
-    if (leader) copy_bytes(recv.data(), gathered.data(), recv.size());
+    if (leader) copy_bytes(recv, gathered);
   }
 }
 
-sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv,
-                            std::span<const Bytes> counts) {
+sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, std::span<const Bytes> counts) {
   const int P = comm.size();
   PACC_EXPECTS(static_cast<int>(counts.size()) == P);
   const int me = comm.comm_rank_of(self.id());
@@ -168,26 +158,25 @@ sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS(send.size() ==
                static_cast<std::size_t>(counts[static_cast<std::size_t>(me)]));
 
-  copy_bytes(recv.data() + displs[static_cast<std::size_t>(me)], send.data(),
-             send.size());
+  copy_bytes(recv.subspan(displs[static_cast<std::size_t>(me)], send.size()),
+             send);
   const int right = (me + 1) % P;
   const int left = (me - 1 + P) % P;
   for (int step = 0; step < P - 1; ++step) {
     const auto send_seg = static_cast<std::size_t>((me - step + P) % P);
     const auto recv_seg = static_cast<std::size_t>((me - step - 1 + P) % P);
-    co_await self.send(comm.global_rank(right), tag,
-                       std::span<const std::byte>(recv).subspan(
-                           displs[send_seg],
-                           static_cast<std::size_t>(counts[send_seg])));
+    co_await self.send(
+        comm.global_rank(right), tag,
+        recv.subspan(displs[send_seg],
+                     static_cast<std::size_t>(counts[send_seg])));
     co_await self.recv(comm.global_rank(left), tag,
                        recv.subspan(displs[recv_seg],
                                     static_cast<std::size_t>(counts[recv_seg])));
   }
 }
 
-sim::Task<> allgather(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<std::byte> recv, Bytes block,
+sim::Task<> allgather(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      Extent recv, Bytes block,
                       const AllgatherOptions& options) {
   ProfileScope prof(self, "allgather", static_cast<Bytes>(recv.size()));
   const bool two_level = comm.uniform_ppn() && comm.nodes().size() >= 2 &&

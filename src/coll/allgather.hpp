@@ -13,35 +13,29 @@ struct AllgatherOptions {
 
 /// Every rank contributes `send` (block bytes); all ranks end with
 /// comm.size() blocks in `recv` (comm-rank order). P-1 neighbour steps.
-sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block);
+sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block);
 
 /// Recursive doubling; requires a power-of-two comm size.
 sim::Task<> allgather_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
-                                         std::span<const std::byte> send,
-                                         std::span<std::byte> recv,
+                                         ConstExtent send, Extent recv,
                                          Bytes block);
 
 /// Two-level: intra-node gather to the leader, leader ring allgather,
 /// intra-node broadcast of the assembled buffer (Fig 1).
-sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv, Bytes block,
+sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                          Extent recv, Bytes block,
                           const AllgatherOptions& options = {});
 
 /// Dispatcher: two-level when the comm spans multiple nodes uniformly,
 /// otherwise ring / recursive doubling.
-sim::Task<> allgather(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<std::byte> recv, Bytes block,
+sim::Task<> allgather(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      Extent recv, Bytes block,
                       const AllgatherOptions& options = {});
 
 /// MPI_Allgatherv over a ring: rank i contributes counts[i] bytes; every
 /// rank ends with the concatenation (comm-rank order) in `recv`.
-sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv,
-                            std::span<const Bytes> counts);
+sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, std::span<const Bytes> counts);
 
 }  // namespace pacc::coll

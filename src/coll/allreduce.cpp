@@ -1,7 +1,5 @@
 #include "coll/allreduce.hpp"
 
-#include <vector>
-
 #include "coll/allgather.hpp"
 #include "coll/bcast.hpp"
 #include "coll/copy.hpp"
@@ -14,8 +12,7 @@
 namespace pacc::coll {
 
 sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
-                                         std::span<const std::byte> send,
-                                         std::span<std::byte> recv,
+                                         ConstExtent send, Extent recv,
                                          ReduceOp op) {
   PACC_EXPECTS(send.size() == recv.size());
   PACC_EXPECTS(send.size() % sizeof(double) == 0);
@@ -24,11 +21,11 @@ sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS(me >= 0);
   const int tag = comm.begin_collective(me);
 
-  copy_bytes(recv.data(), send.data(), send.size());
+  copy_bytes(recv, send);
   if (P == 1) co_return;
 
   if (is_pow2(P)) {
-    std::vector<std::byte> incoming(send.size());
+    Scratch incoming(self, send.size());
     for (int mask = 1; mask < P; mask <<= 1) {
       const int partner = me ^ mask;
       co_await self.sendrecv(comm.global_rank(partner), tag, recv,
@@ -43,8 +40,7 @@ sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> allreduce_rabenseifner(mpi::Rank& self, mpi::Comm& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv, ReduceOp op) {
+                                   ConstExtent send, Extent recv, ReduceOp op) {
   PACC_EXPECTS(send.size() == recv.size());
   const int P = comm.size();
   PACC_EXPECTS_MSG(is_pow2(P), "Rabenseifner needs a power-of-two comm");
@@ -53,22 +49,20 @@ sim::Task<> allreduce_rabenseifner(mpi::Rank& self, mpi::Comm& comm,
                        blk_bytes % sizeof(double) == 0,
                    "buffer must split into P double-aligned blocks");
   if (P == 1) {
-    copy_bytes(recv.data(), send.data(), send.size());
+    copy_bytes(recv, send);
     co_return;
   }
   const auto block = static_cast<Bytes>(blk_bytes);
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
 
-  std::vector<std::byte> my_block(blk_bytes);
+  Scratch my_block(self, blk_bytes);
   co_await reduce_scatter_halving(self, comm, send, my_block, block, op);
   co_await allgather_recursive_doubling(self, comm, my_block, recv, block);
 }
 
-sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv,
-                          const AllreduceOptions& options) {
+sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                          Extent recv, const AllreduceOptions& options) {
   PACC_EXPECTS(send.size() == recv.size());
   PACC_EXPECTS(send.size() % sizeof(double) == 0);
   const int me = comm.comm_rank_of(self.id());
@@ -79,7 +73,7 @@ sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm,
 
   // Stage 1: intra-node reduction to the node leader.
   mpi::Comm& node = comm.node_comm(my_node);
-  std::vector<std::byte> node_result(leader ? send.size() : 0);
+  Scratch node_result(self, leader ? send.size() : 0);
   co_await reduce_binomial(self, node, send, node_result, options.op, 0);
 
   // Stage 2: leaders allreduce; everyone else throttles (§V-B).
@@ -113,10 +107,8 @@ sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm,
   co_await bcast_intra_node(self, node, recv, 0);
 }
 
-sim::Task<> allreduce(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<std::byte> recv,
-                      const AllreduceOptions& options) {
+sim::Task<> allreduce(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      Extent recv, const AllreduceOptions& options) {
   ProfileScope prof(self, "allreduce", static_cast<Bytes>(send.size()));
   const bool two_level = comm.nodes().size() >= 2 && comm.uniform_ppn() &&
                          comm.ranks_per_node() >= 2;

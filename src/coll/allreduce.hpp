@@ -17,8 +17,7 @@ struct AllreduceOptions {
 
 /// Recursive-doubling allreduce of double elements (power-of-two comm).
 sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
-                                         std::span<const std::byte> send,
-                                         std::span<std::byte> recv,
+                                         ConstExtent send, Extent recv,
                                          ReduceOp op);
 
 /// Rabenseifner's algorithm: reduce-scatter (recursive halving) followed by
@@ -27,20 +26,15 @@ sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
 /// large vectors. Requires a power-of-two comm and a buffer that splits
 /// into P double-aligned blocks.
 sim::Task<> allreduce_rabenseifner(mpi::Rank& self, mpi::Comm& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv, ReduceOp op);
+                                   ConstExtent send, Extent recv, ReduceOp op);
 
 /// Two-level: intra-node reduce to the leader, leader allreduce, intra-node
 /// broadcast of the result.
-sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv,
-                          const AllreduceOptions& options);
+sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                          Extent recv, const AllreduceOptions& options);
 
 /// Dispatcher applying the requested power scheme.
-sim::Task<> allreduce(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<std::byte> recv,
-                      const AllreduceOptions& options = {});
+sim::Task<> allreduce(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      Extent recv, const AllreduceOptions& options = {});
 
 }  // namespace pacc::coll

@@ -1,7 +1,5 @@
 #include "coll/alltoall.hpp"
 
-#include <vector>
-
 #include "coll/alltoall_power.hpp"
 #include "coll/copy.hpp"
 #include "coll/plan.hpp"
@@ -12,22 +10,20 @@ namespace pacc::coll {
 
 namespace {
 
-std::span<const std::byte> block_of(std::span<const std::byte> buf, int index,
-                                    Bytes block) {
+ConstExtent block_of(ConstExtent buf, int index, Bytes block) {
   return buf.subspan(static_cast<std::size_t>(index) *
                          static_cast<std::size_t>(block),
                      static_cast<std::size_t>(block));
 }
 
-std::span<std::byte> block_of(std::span<std::byte> buf, int index,
-                              Bytes block) {
+Extent block_of(Extent buf, int index, Bytes block) {
   return buf.subspan(static_cast<std::size_t>(index) *
                          static_cast<std::size_t>(block),
                      static_cast<std::size_t>(block));
 }
 
-void check_buffers(const mpi::Comm& comm, std::span<const std::byte> send,
-                   std::span<std::byte> recv, Bytes block) {
+void check_buffers(const mpi::Comm& comm, ConstExtent send, Extent recv,
+                   Bytes block) {
   PACC_EXPECTS(block >= 0);
   const auto expected = static_cast<std::size_t>(comm.size()) *
                         static_cast<std::size_t>(block);
@@ -38,8 +34,7 @@ void check_buffers(const mpi::Comm& comm, std::span<const std::byte> send,
 }  // namespace
 
 sim::Task<> alltoall_pairwise(mpi::Rank& self, mpi::Comm& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv, Bytes block) {
+                              ConstExtent send, Extent recv, Bytes block) {
   check_buffers(comm, send, recv, block);
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS_MSG(me >= 0, "caller is not a member of this communicator");
@@ -49,9 +44,7 @@ sim::Task<> alltoall_pairwise(mpi::Rank& self, mpi::Comm& comm,
   mpi::Rank::ActionScope action(self, plan->action);
 
   // Own block moves locally.
-  copy_bytes(block_of(recv, me, block).data(),
-             block_of(send, me, block).data(),
-             static_cast<std::size_t>(block));
+  copy_bytes(block_of(recv, me, block), block_of(send, me, block));
 
   const PlanView view(*plan, me, comm.size());
   for (const PairStep& step : plan->pair_steps[view.row()]) {
@@ -71,9 +64,8 @@ sim::Task<> alltoall_pairwise(mpi::Rank& self, mpi::Comm& comm,
   }
 }
 
-sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block) {
+sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block) {
   check_buffers(comm, send, recv, block);
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
@@ -85,23 +77,23 @@ sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
   mpi::Rank::ActionScope action(self, plan->action);
 
   // Step 1 — local rotation: tmp[i] = block destined to rank (me + i) % P.
-  std::vector<std::byte> tmp(static_cast<std::size_t>(P) * blk);
+  Scratch tmp(self, static_cast<std::size_t>(P) * blk);
+  auto slot = [&tmp, blk](std::size_t i) { return tmp.subspan(i * blk, blk); };
   for (int i = 0; i < P; ++i) {
-    copy_bytes(tmp.data() + static_cast<std::size_t>(i) * blk,
-               block_of(send, (me + i) % P, block).data(), blk);
+    copy_bytes(slot(static_cast<std::size_t>(i)),
+               block_of(send, (me + i) % P, block));
   }
 
   // Step 2 — log rounds. A block at index i still has to travel i hops
   // forward; in round k every block whose index has bit k set moves k hops.
-  std::vector<std::byte> packed;
-  std::vector<std::byte> incoming;
+  Scratch packed(self);
+  Scratch incoming(self);
   int k = 1;
   for (const auto& indices : plan->bruck_rounds) {
     packed.resize(indices.size() * blk);
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      copy_bytes(packed.data() + j * blk,
-                 tmp.data() + static_cast<std::size_t>(indices[j]) * blk,
-                 blk);
+      copy_bytes(packed.subspan(j * blk, blk),
+                 slot(static_cast<std::size_t>(indices[j])));
     }
     incoming.resize(packed.size());
     const int dst = (me + k) % P;
@@ -109,22 +101,21 @@ sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
     co_await self.sendrecv(comm.global_rank(dst), tag, packed,
                            comm.global_rank(src), tag, incoming);
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      copy_bytes(tmp.data() + static_cast<std::size_t>(indices[j]) * blk,
-                 incoming.data() + j * blk, blk);
+      copy_bytes(slot(static_cast<std::size_t>(indices[j])),
+                 incoming.subspan(j * blk, blk));
     }
     k <<= 1;
   }
 
   // Step 3 — inverse rotation: tmp[i] now holds the block from (me - i).
   for (int i = 0; i < P; ++i) {
-    copy_bytes(block_of(recv, (me - i + P) % P, block).data(),
-               tmp.data() + static_cast<std::size_t>(i) * blk, blk);
+    copy_bytes(block_of(recv, (me - i + P) % P, block),
+               slot(static_cast<std::size_t>(i)));
   }
 }
 
-sim::Task<> alltoall(mpi::Rank& self, mpi::Comm& comm,
-                     std::span<const std::byte> send, std::span<std::byte> recv,
-                     Bytes block, const AlltoallOptions& options) {
+sim::Task<> alltoall(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                     Extent recv, Bytes block, const AlltoallOptions& options) {
   ProfileScope prof(self, "alltoall", static_cast<Bytes>(send.size()));
   const bool small = block <= options.bruck_threshold;
   co_await run_with_scheme(

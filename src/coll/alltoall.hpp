@@ -21,18 +21,16 @@ struct AlltoallOptions {
 /// Pair-wise exchange: P-1 sendrecv steps (XOR pattern when P is a power of
 /// two, ring otherwise). send/recv hold P contiguous blocks of `block` bytes.
 sim::Task<> alltoall_pairwise(mpi::Rank& self, mpi::Comm& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv, Bytes block);
+                              ConstExtent send, Extent recv, Bytes block);
 
 /// Bruck's algorithm: ceil(log2 P) rounds of aggregated blocks; best for
 /// small messages.
-sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block);
+sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block);
 
 /// Dispatcher applying the requested power scheme.
-sim::Task<> alltoall(mpi::Rank& self, mpi::Comm& comm,
-                     std::span<const std::byte> send, std::span<std::byte> recv,
-                     Bytes block, const AlltoallOptions& options = {});
+sim::Task<> alltoall(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                     Extent recv, Bytes block,
+                     const AlltoallOptions& options = {});
 
 }  // namespace pacc::coll

@@ -131,8 +131,7 @@ sim::Task<> power_aware_exchange_schedule(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> alltoall_power_aware(mpi::Rank& self, mpi::Comm& comm,
-                                 std::span<const std::byte> send,
-                                 std::span<std::byte> recv, Bytes block) {
+                                 ConstExtent send, Extent recv, Bytes block) {
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
   const int tag = comm.begin_collective(me);
@@ -141,9 +140,8 @@ sim::Task<> alltoall_power_aware(mpi::Rank& self, mpi::Comm& comm,
                    static_cast<std::size_t>(comm.size()) * blk &&
                recv.size() == send.size());
 
-  // Own block (guarded: empty spans have null data() when block == 0).
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk,
-             send.data() + static_cast<std::size_t>(me) * blk, blk);
+  copy_bytes(recv.subspan(static_cast<std::size_t>(me) * blk, blk),
+             send.subspan(static_cast<std::size_t>(me) * blk, blk));
 
   ExchangeOps ops;
   ops.send_to = [&self, &comm, send, blk, tag](int peer) -> sim::Task<> {

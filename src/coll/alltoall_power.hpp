@@ -55,8 +55,7 @@ sim::Task<> power_aware_exchange_schedule(mpi::Rank& self, mpi::Comm& comm,
 
 /// Power-aware MPI_Alltoall over contiguous blocks.
 sim::Task<> alltoall_power_aware(mpi::Rank& self, mpi::Comm& comm,
-                                 std::span<const std::byte> send,
-                                 std::span<std::byte> recv, Bytes block);
+                                 ConstExtent send, Extent recv, Bytes block);
 
 /// Pairing of node-index `i` in tournament round `round` (0-based) among N
 /// nodes; returns -1 when the node idles that round (odd N).

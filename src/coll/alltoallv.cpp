@@ -22,8 +22,8 @@ std::vector<std::size_t> displacements(std::span<const Bytes> counts) {
   return displs;
 }
 
-void check(const mpi::Comm& comm, std::span<const std::byte> send,
-           std::span<const Bytes> send_counts, std::span<std::byte> recv,
+void check(const mpi::Comm& comm, ConstExtent send,
+           std::span<const Bytes> send_counts, Extent recv,
            std::span<const Bytes> recv_counts) {
   const auto P = static_cast<std::size_t>(comm.size());
   PACC_EXPECTS(send_counts.size() == P && recv_counts.size() == P);
@@ -35,12 +35,20 @@ void check(const mpi::Comm& comm, std::span<const std::byte> send,
                    recv_counts.begin(), recv_counts.end(), Bytes{0})));
 }
 
+/// The caller's own segment moves locally.
+void copy_own_segment(ConstExtent send, const std::vector<std::size_t>& sdispl,
+                      std::span<const Bytes> send_counts, Extent recv,
+                      const std::vector<std::size_t>& rdispl, int me) {
+  const auto m = static_cast<std::size_t>(me);
+  const auto n = static_cast<std::size_t>(send_counts[m]);
+  copy_bytes(recv.subspan(rdispl[m], n), send.subspan(sdispl[m], n));
+}
+
 }  // namespace
 
 sim::Task<> alltoallv_pairwise(mpi::Rank& self, mpi::Comm& comm,
-                               std::span<const std::byte> send,
-                               std::span<const Bytes> send_counts,
-                               std::span<std::byte> recv,
+                               ConstExtent send,
+                               std::span<const Bytes> send_counts, Extent recv,
                                std::span<const Bytes> recv_counts) {
   check(comm, send, send_counts, recv, recv_counts);
   const int me = comm.comm_rank_of(self.id());
@@ -55,9 +63,7 @@ sim::Task<> alltoallv_pairwise(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS_MSG(send_counts[static_cast<std::size_t>(me)] ==
                        recv_counts[static_cast<std::size_t>(me)],
                    "self segment sizes must agree");
-  copy_bytes(recv.data() + rdispl[static_cast<std::size_t>(me)],
-             send.data() + sdispl[static_cast<std::size_t>(me)],
-             static_cast<std::size_t>(send_counts[static_cast<std::size_t>(me)]));
+  copy_own_segment(send, sdispl, send_counts, recv, rdispl, me);
 
   const PlanView view(*plan, me, comm.size());
   for (const PairStep& step : plan->pair_steps[view.row()]) {
@@ -73,9 +79,9 @@ sim::Task<> alltoallv_pairwise(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> alltoallv_power_aware(mpi::Rank& self, mpi::Comm& comm,
-                                  std::span<const std::byte> send,
+                                  ConstExtent send,
                                   std::span<const Bytes> send_counts,
-                                  std::span<std::byte> recv,
+                                  Extent recv,
                                   std::span<const Bytes> recv_counts) {
   check(comm, send, send_counts, recv, recv_counts);
   const int me = comm.comm_rank_of(self.id());
@@ -84,9 +90,7 @@ sim::Task<> alltoallv_power_aware(mpi::Rank& self, mpi::Comm& comm,
   const auto sdispl = displacements(send_counts);
   const auto rdispl = displacements(recv_counts);
 
-  copy_bytes(recv.data() + rdispl[static_cast<std::size_t>(me)],
-             send.data() + sdispl[static_cast<std::size_t>(me)],
-             static_cast<std::size_t>(send_counts[static_cast<std::size_t>(me)]));
+  copy_own_segment(send, sdispl, send_counts, recv, rdispl, me);
 
   ExchangeOps ops;
   ops.send_to = [&self, &comm, send, &sdispl, send_counts,
@@ -107,10 +111,8 @@ sim::Task<> alltoallv_power_aware(mpi::Rank& self, mpi::Comm& comm,
                                          static_cast<Bytes>(send.size()));
 }
 
-sim::Task<> alltoallv(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<const Bytes> send_counts,
-                      std::span<std::byte> recv,
+sim::Task<> alltoallv(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      std::span<const Bytes> send_counts, Extent recv,
                       std::span<const Bytes> recv_counts,
                       const AlltoallvOptions& options) {
   ProfileScope prof(self, "alltoallv", static_cast<Bytes>(send.size()));

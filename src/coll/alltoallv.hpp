@@ -16,23 +16,20 @@ struct AlltoallvOptions {
 /// (in comm-rank order); recv likewise with recv_counts. Displacements are
 /// the prefix sums of the counts.
 sim::Task<> alltoallv_pairwise(mpi::Rank& self, mpi::Comm& comm,
-                               std::span<const std::byte> send,
-                               std::span<const Bytes> send_counts,
-                               std::span<std::byte> recv,
+                               ConstExtent send,
+                               std::span<const Bytes> send_counts, Extent recv,
                                std::span<const Bytes> recv_counts);
 
 /// Power-aware Alltoallv over the §V-A schedule.
 sim::Task<> alltoallv_power_aware(mpi::Rank& self, mpi::Comm& comm,
-                                  std::span<const std::byte> send,
+                                  ConstExtent send,
                                   std::span<const Bytes> send_counts,
-                                  std::span<std::byte> recv,
+                                  Extent recv,
                                   std::span<const Bytes> recv_counts);
 
 /// Dispatcher applying the requested power scheme.
-sim::Task<> alltoallv(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<const std::byte> send,
-                      std::span<const Bytes> send_counts,
-                      std::span<std::byte> recv,
+sim::Task<> alltoallv(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                      std::span<const Bytes> send_counts, Extent recv,
                       std::span<const Bytes> recv_counts,
                       const AlltoallvOptions& options = {});
 

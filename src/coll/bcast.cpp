@@ -22,9 +22,8 @@ sim::Task<> maybe_unthrottle(mpi::Rank& self) {
 }
 
 /// Inter-leader stage of the two-level broadcast.
-sim::Task<> inter_leader_bcast(mpi::Rank& self, mpi::Comm& leaders,
-                               std::span<std::byte> buf, int leader_root,
-                               const BcastOptions& options) {
+sim::Task<> inter_leader_bcast(mpi::Rank& self, mpi::Comm& leaders, Extent buf,
+                               int leader_root, const BcastOptions& options) {
   if (leaders.size() == 1) co_return;
   if (static_cast<Bytes>(buf.size()) >= options.scatter_allgather_threshold &&
       leaders.size() >= 2) {
@@ -36,9 +35,8 @@ sim::Task<> inter_leader_bcast(mpi::Rank& self, mpi::Comm& leaders,
 
 }  // namespace
 
-sim::Task<> bcast_binomial(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<std::byte> buf, int root,
-                           bool unthrottle_on_receive) {
+sim::Task<> bcast_binomial(mpi::Rank& self, mpi::Comm& comm, Extent buf,
+                           int root, bool unthrottle_on_receive) {
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -65,7 +63,7 @@ sim::Task<> bcast_binomial(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> bcast_scatter_allgather(mpi::Rank& self, mpi::Comm& comm,
-                                    std::span<std::byte> buf, int root) {
+                                    Extent buf, int root) {
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -78,23 +76,19 @@ sim::Task<> bcast_scatter_allgather(mpi::Rank& self, mpi::Comm& comm,
   const auto padded_size = chunk * static_cast<std::size_t>(P);
 
   // Scatter equal chunks from a padded copy, then ring-allgather them.
-  std::vector<std::byte> padded(padded_size);
-  if (me == root) {
-    copy_bytes(padded.data(), buf.data(), total);
-  }
-  std::vector<std::byte> my_chunk(chunk);
+  Scratch padded(self, padded_size);
+  if (me == root) copy_bytes(padded.first(total), buf);
+  Scratch my_chunk(self, chunk);
   co_await scatter_binomial(
-      self, comm,
-      me == root ? std::span<const std::byte>(padded)
-                 : std::span<const std::byte>{},
-      my_chunk, static_cast<Bytes>(chunk), root);
+      self, comm, me == root ? ConstExtent(padded) : ConstExtent{}, my_chunk,
+      static_cast<Bytes>(chunk), root);
   co_await allgather_ring(self, comm, my_chunk, padded,
                           static_cast<Bytes>(chunk));
-  copy_bytes(buf.data(), padded.data(), total);
+  copy_bytes(buf, padded.first(total));
 }
 
-sim::Task<> bcast_intra_node(mpi::Rank& self, mpi::Comm& node_comm,
-                             std::span<std::byte> buf, int root) {
+sim::Task<> bcast_intra_node(mpi::Rank& self, mpi::Comm& node_comm, Extent buf,
+                             int root) {
   if (node_comm.size() <= 1) co_return;
   PACC_EXPECTS_MSG(node_comm.nodes().size() == 1,
                    "bcast_intra_node needs a single-node communicator");
@@ -117,8 +111,7 @@ sim::Task<> bcast_intra_node(mpi::Rank& self, mpi::Comm& node_comm,
   }
 }
 
-sim::Task<> bcast_smp(mpi::Rank& self, mpi::Comm& comm,
-                      std::span<std::byte> buf, int root,
+sim::Task<> bcast_smp(mpi::Rank& self, mpi::Comm& comm, Extent buf, int root,
                       const BcastOptions& options) {
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -189,8 +182,8 @@ sim::Task<> bcast_smp(mpi::Rank& self, mpi::Comm& comm,
   }
 }
 
-sim::Task<> bcast(mpi::Rank& self, mpi::Comm& comm, std::span<std::byte> buf,
-                  int root, const BcastOptions& options) {
+sim::Task<> bcast(mpi::Rank& self, mpi::Comm& comm, Extent buf, int root,
+                  const BcastOptions& options) {
   ProfileScope prof(self, "bcast", static_cast<Bytes>(buf.size()));
   const bool two_level = comm.nodes().size() >= 2;
   co_await run_with_scheme(

@@ -18,10 +18,8 @@ int subtree_blocks(int vr, int mask, int P) {
 
 }  // namespace
 
-sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv, Bytes block,
-                             int root) {
+sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                             Extent recv, Bytes block, int root) {
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -32,7 +30,7 @@ sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
   const int vr = (me - root + P) % P;
 
   // tmp holds this rank's subtree in *relative* block order, starting at vr.
-  std::vector<std::byte> tmp;
+  Scratch tmp(self);
   int span_mask = 1;
 
   if (vr == 0) {
@@ -40,9 +38,9 @@ sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
     tmp.resize(static_cast<std::size_t>(P) * blk);
     for (int i = 0; i < P; ++i) {
       // Relative block i belongs to actual rank (i + root) % P.
-      copy_bytes(tmp.data() + static_cast<std::size_t>(i) * blk,
-                 send.data() + static_cast<std::size_t>((i + root) % P) * blk,
-                 blk);
+      copy_bytes(tmp.subspan(static_cast<std::size_t>(i) * blk, blk),
+                 send.subspan(static_cast<std::size_t>((i + root) % P) * blk,
+                              blk));
     }
     span_mask = ceil_pow2(P);
   } else {
@@ -68,17 +66,15 @@ sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
       const auto offset = static_cast<std::size_t>(child_vr - vr) * blk;
       co_await self.send(
           comm.global_rank((child_vr + root) % P), tag,
-          std::span<const std::byte>(tmp).subspan(
-              offset, static_cast<std::size_t>(count) * blk));
+          tmp.subspan(offset, static_cast<std::size_t>(count) * blk));
     }
   }
 
-  copy_bytes(recv.data(), tmp.data(), blk);
+  copy_bytes(recv, tmp.first(blk));
 }
 
-sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv, Bytes block, int root) {
+sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, Bytes block, int root) {
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -90,8 +86,8 @@ sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
 
   // tmp accumulates the subtree rooted at vr in relative block order.
   const int max_span = (vr == 0) ? P : subtree_blocks(vr, vr & -vr, P);
-  std::vector<std::byte> tmp(static_cast<std::size_t>(max_span) * blk);
-  copy_bytes(tmp.data(), send.data(), blk);
+  Scratch tmp(self, static_cast<std::size_t>(max_span) * blk);
+  copy_bytes(tmp.first(blk), send);
 
   int mask = 1;
   while (mask < P) {
@@ -102,16 +98,13 @@ sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
         const auto offset = static_cast<std::size_t>(child_vr - vr) * blk;
         co_await self.recv(
             comm.global_rank((child_vr + root) % P), tag,
-            std::span<std::byte>(tmp).subspan(
-                offset, static_cast<std::size_t>(count) * blk));
+            tmp.subspan(offset, static_cast<std::size_t>(count) * blk));
       }
     } else {
       const int parent = ((vr - mask) + root) % P;
       const int count = subtree_blocks(vr, mask, P);
-      co_await self.send(
-          comm.global_rank(parent), tag,
-          std::span<const std::byte>(tmp).first(
-              static_cast<std::size_t>(count) * blk));
+      co_await self.send(comm.global_rank(parent), tag,
+                         tmp.first(static_cast<std::size_t>(count) * blk));
       break;
     }
     mask <<= 1;
@@ -120,8 +113,9 @@ sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
   if (vr == 0) {
     PACC_EXPECTS(recv.size() == static_cast<std::size_t>(P) * blk);
     for (int i = 0; i < P; ++i) {
-      copy_bytes(recv.data() + static_cast<std::size_t>((i + root) % P) * blk,
-                 tmp.data() + static_cast<std::size_t>(i) * blk, blk);
+      copy_bytes(
+          recv.subspan(static_cast<std::size_t>((i + root) % P) * blk, blk),
+          tmp.subspan(static_cast<std::size_t>(i) * blk, blk));
     }
   }
 }
@@ -139,10 +133,9 @@ std::vector<std::size_t> prefix(std::span<const Bytes> counts) {
 
 }  // namespace
 
-sim::Task<> scatterv_linear(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv,
-                            std::span<const Bytes> counts, int root) {
+sim::Task<> scatterv_linear(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, std::span<const Bytes> counts,
+                            int root) {
   const int P = comm.size();
   PACC_EXPECTS(static_cast<int>(counts.size()) == P);
   const int me = comm.comm_rank_of(self.id());
@@ -160,7 +153,7 @@ sim::Task<> scatterv_linear(mpi::Rank& self, mpi::Comm& comm,
       const auto segment =
           send.subspan(displs[p], static_cast<std::size_t>(counts[p]));
       if (peer == me) {
-        copy_bytes(recv.data(), segment.data(), segment.size());
+        copy_bytes(recv, segment);
       } else {
         co_await self.send(comm.global_rank(peer), tag, segment);
       }
@@ -170,10 +163,9 @@ sim::Task<> scatterv_linear(mpi::Rank& self, mpi::Comm& comm,
   }
 }
 
-sim::Task<> gatherv_linear(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv,
-                           std::span<const Bytes> counts, int root) {
+sim::Task<> gatherv_linear(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, std::span<const Bytes> counts,
+                           int root) {
   const int P = comm.size();
   PACC_EXPECTS(static_cast<int>(counts.size()) == P);
   const int me = comm.comm_rank_of(self.id());
@@ -191,7 +183,7 @@ sim::Task<> gatherv_linear(mpi::Rank& self, mpi::Comm& comm,
       const auto segment =
           recv.subspan(displs[p], static_cast<std::size_t>(counts[p]));
       if (peer == me) {
-        copy_bytes(segment.data(), send.data(), send.size());
+        copy_bytes(segment, send);
       } else {
         co_await self.recv(comm.global_rank(peer), tag, segment);
       }

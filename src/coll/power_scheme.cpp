@@ -32,11 +32,11 @@ std::string to_string(ReduceOp op) {
   return "?";
 }
 
-void reduce_bytes(ReduceOp op, std::span<std::byte> accum,
-                  std::span<const std::byte> in) {
+void reduce_bytes(ReduceOp op, Extent accum, ConstExtent in) {
   PACC_EXPECTS(accum.size() == in.size());
   PACC_EXPECTS_MSG(accum.size() % sizeof(double) == 0,
                    "reduction buffers hold doubles");
+  if (!accum.has_bytes() || !in.has_bytes()) return;
   auto* a = reinterpret_cast<double*>(accum.data());
   const auto* b = reinterpret_cast<const double*>(in.data());
   const std::size_t n = accum.size() / sizeof(double);

@@ -1,7 +1,5 @@
 #include "coll/reduce.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/power_scheme.hpp"
 #include "coll/tuner.hpp"
@@ -12,16 +10,15 @@ namespace pacc::coll {
 
 namespace {
 
-void check(std::span<const std::byte> send) {
+void check(ConstExtent send) {
   PACC_EXPECTS_MSG(send.size() % sizeof(double) == 0,
                    "reductions operate on double elements");
 }
 
 }  // namespace
 
-sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv, ReduceOp op, int root) {
+sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, ReduceOp op, int root) {
   check(send);
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
@@ -30,8 +27,8 @@ sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const int vr = (me - root + P) % P;
 
-  std::vector<std::byte> accum(send.begin(), send.end());
-  std::vector<std::byte> incoming(send.size());
+  Scratch accum(self, send);
+  Scratch incoming(self, send.size());
 
   int mask = 1;
   while (mask < P) {
@@ -52,14 +49,12 @@ sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
 
   if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(recv, accum);
   }
 }
 
-sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
-                       std::span<const std::byte> send,
-                       std::span<std::byte> recv,
-                       const ReduceOptions& options, int root) {
+sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                       Extent recv, const ReduceOptions& options, int root) {
   check(send);
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -72,7 +67,7 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
 
   // Stage 1: intra-node reduction to the node leader.
   mpi::Comm& node = comm.node_comm(my_node);
-  std::vector<std::byte> node_result(leader ? send.size() : 0);
+  Scratch node_result(self, leader ? send.size() : 0);
   co_await reduce_binomial(self, node, send, node_result, options.op, 0);
 
   // Stage 2: inter-leader reduction; non-leaders throttle meanwhile (§V-B).
@@ -91,8 +86,7 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
     if (power && !self.machine().params().core_level_throttling) {
       co_await throttle_self(self, 4);
     }
-    std::vector<std::byte> leader_result(
-        me == root_leader ? send.size() : 0);
+    Scratch leader_result(self, me == root_leader ? send.size() : 0);
     co_await reduce_binomial(self, leaders, node_result, leader_result,
                              options.op, leader_root);
     if (power) {
@@ -124,13 +118,12 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
     }
   } else if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), node_result.data(), node_result.size());
+    copy_bytes(recv, node_result);
   }
 }
 
-sim::Task<> reduce(mpi::Rank& self, mpi::Comm& comm,
-                   std::span<const std::byte> send, std::span<std::byte> recv,
-                   int root, const ReduceOptions& options) {
+sim::Task<> reduce(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                   Extent recv, int root, const ReduceOptions& options) {
   ProfileScope prof(self, "reduce", static_cast<Bytes>(send.size()));
   const bool two_level = comm.nodes().size() >= 2;
   co_await run_with_scheme(
@@ -147,11 +140,14 @@ sim::Task<> reduce(mpi::Rank& self, mpi::Comm& comm,
           call.scheme = scheme;
           call.reduce_op = options.op;
           call.seg = tuned.seg;
-          // AlgoCall carries one mutable send span because bcast uses it
-          // in/out; reduce executors only read it, so shedding the const
-          // here cannot write through.
-          call.send = std::span<std::byte>(
-              const_cast<std::byte*>(send.data()), send.size());
+          // AlgoCall carries one mutable send extent because bcast uses
+          // it in/out; reduce executors only read it, so shedding the
+          // const here cannot write through.
+          call.send =
+              send.has_bytes()
+                  ? Extent(std::span<std::byte>(
+                        const_cast<std::byte*>(send.data()), send.size()))
+                  : Extent::sized(send.size());
           co_await tuned.desc->exec_inner(self, comm, call);
           co_return;
         }

@@ -15,20 +15,16 @@ struct ReduceOptions {
 
 /// Binomial-tree reduction of double elements to `root`. `send` holds this
 /// rank's contribution; at the root, `recv` (same size) gets the result.
-sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv, ReduceOp op, int root);
+sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                            Extent recv, ReduceOp op, int root);
 
 /// Two-level: intra-node reduction to the leader over shared memory, then
 /// an inter-leader binomial reduction, then a fix-up hop to the root.
-sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
-                       std::span<const std::byte> send,
-                       std::span<std::byte> recv,
-                       const ReduceOptions& options, int root);
+sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                       Extent recv, const ReduceOptions& options, int root);
 
 /// Dispatcher applying the requested power scheme.
-sim::Task<> reduce(mpi::Rank& self, mpi::Comm& comm,
-                   std::span<const std::byte> send, std::span<std::byte> recv,
-                   int root, const ReduceOptions& options = {});
+sim::Task<> reduce(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                   Extent recv, int root, const ReduceOptions& options = {});
 
 }  // namespace pacc::coll

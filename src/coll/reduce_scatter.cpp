@@ -1,7 +1,5 @@
 #include "coll/reduce_scatter.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/gather_scatter.hpp"
 #include "coll/power_scheme.hpp"
@@ -12,8 +10,7 @@ namespace pacc::coll {
 
 namespace {
 
-void check(const mpi::Comm& comm, std::span<const std::byte> send,
-           std::span<std::byte> recv, Bytes block) {
+void check(const mpi::Comm& comm, ConstExtent send, Extent recv, Bytes block) {
   PACC_EXPECTS(block >= 0 && block % 8 == 0);
   PACC_EXPECTS(send.size() == static_cast<std::size_t>(comm.size()) *
                                   static_cast<std::size_t>(block));
@@ -23,8 +20,7 @@ void check(const mpi::Comm& comm, std::span<const std::byte> send,
 }  // namespace
 
 sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv, Bytes block,
+                                   ConstExtent send, Extent recv, Bytes block,
                                    ReduceOp op) {
   check(comm, send, recv, block);
   const int P = comm.size();
@@ -36,8 +32,8 @@ sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
 
   // accum holds the blocks this rank is still responsible for:
   // the window [lo, lo + span) shrinks by half each round.
-  std::vector<std::byte> accum(send.begin(), send.end());
-  std::vector<std::byte> incoming;
+  Scratch accum(self, send);
+  Scratch incoming(self);
   int lo = 0;
   int span = P;
 
@@ -54,24 +50,21 @@ sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
     incoming.resize(half_bytes);
     co_await self.send(
         comm.global_rank(partner), tag,
-        std::span<const std::byte>(accum).subspan(
-            static_cast<std::size_t>(send_lo) * blk, half_bytes));
+        accum.subspan(static_cast<std::size_t>(send_lo) * blk, half_bytes));
     co_await self.recv(comm.global_rank(partner), tag, incoming);
     reduce_bytes(op,
-                 std::span<std::byte>(accum).subspan(
-                     static_cast<std::size_t>(keep_lo) * blk, half_bytes),
+                 accum.subspan(static_cast<std::size_t>(keep_lo) * blk,
+                               half_bytes),
                  incoming);
     lo = keep_lo;
     span /= 2;
   }
   PACC_ASSERT(span == 1 && lo == me);
-  copy_bytes(recv.data(), accum.data() + static_cast<std::size_t>(me) * blk,
-             blk);
+  copy_bytes(recv, accum.subspan(static_cast<std::size_t>(me) * blk, blk));
 }
 
-sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block,
+sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block,
                            const ReduceScatterOptions& options) {
   check(comm, send, recv, block);
   ProfileScope prof(self, "reduce_scatter", static_cast<Bytes>(send.size()));
@@ -84,13 +77,11 @@ sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm,
         }
         // Reduce the full vector to rank 0, then scatter the blocks.
         const int me = comm.comm_rank_of(self.id());
-        std::vector<std::byte> reduced(me == 0 ? send.size() : 0);
+        Scratch reduced(self, me == 0 ? send.size() : 0);
         co_await reduce_binomial(self, comm, send, reduced, options.op, 0);
         co_await scatter_binomial(
-            self, comm,
-            me == 0 ? std::span<const std::byte>(reduced)
-                    : std::span<const std::byte>{},
-            recv, block, 0);
+            self, comm, me == 0 ? ConstExtent(reduced) : ConstExtent{}, recv,
+            block, 0);
       });
 }
 

@@ -15,15 +15,13 @@ struct ReduceScatterOptions {
 /// Recursive halving: log2(P) rounds, each exchanging and reducing half of
 /// the remaining blocks. Requires a power-of-two comm.
 sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv, Bytes block,
+                                   ConstExtent send, Extent recv, Bytes block,
                                    ReduceOp op);
 
 /// Dispatcher: recursive halving for power-of-two comms; otherwise a
 /// binomial reduce to rank 0 followed by a binomial scatter.
-sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm,
-                           std::span<const std::byte> send,
-                           std::span<std::byte> recv, Bytes block,
+sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                           Extent recv, Bytes block,
                            const ReduceScatterOptions& options = {});
 
 }  // namespace pacc::coll

@@ -1,7 +1,5 @@
 #include "coll/scan.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/power_scheme.hpp"
 #include "util/expect.hpp"
@@ -9,8 +7,8 @@
 namespace pacc::coll {
 
 sim::Task<> scan_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
-                                    std::span<const std::byte> send,
-                                    std::span<std::byte> recv, ReduceOp op) {
+                                    ConstExtent send, Extent recv,
+                                    ReduceOp op) {
   PACC_EXPECTS(send.size() == recv.size());
   PACC_EXPECTS(send.size() % sizeof(double) == 0);
   const int P = comm.size();
@@ -20,9 +18,9 @@ sim::Task<> scan_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
 
   // recv accumulates the inclusive prefix; partial the trailing window
   // [me - 2^k + 1, me] that gets forwarded.
-  copy_bytes(recv.data(), send.data(), send.size());
-  std::vector<std::byte> partial(send.begin(), send.end());
-  std::vector<std::byte> incoming(send.size());
+  copy_bytes(recv, send);
+  Scratch partial(self, send);
+  Scratch incoming(self, send.size());
 
   for (int mask = 1; mask < P; mask <<= 1) {
     const int dst = me + mask;
@@ -39,9 +37,8 @@ sim::Task<> scan_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
   }
 }
 
-sim::Task<> scan(mpi::Rank& self, mpi::Comm& comm,
-                 std::span<const std::byte> send, std::span<std::byte> recv,
-                 const ScanOptions& options) {
+sim::Task<> scan(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                 Extent recv, const ScanOptions& options) {
   ProfileScope prof(self, "scan", static_cast<Bytes>(send.size()));
   co_await run_with_scheme(self, comm, options.scheme,
                            [&](PowerScheme) -> sim::Task<> {

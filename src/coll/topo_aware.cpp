@@ -58,8 +58,7 @@ bool topo_aware_applicable(const mpi::Comm& comm) {
 }
 
 sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
-                               std::span<const std::byte> send,
-                               std::span<std::byte> recv, Bytes block,
+                               ConstExtent send, Extent recv, Bytes block,
                                int root, const TopoAwareOptions& options) {
   co_await run_with_scheme(
       self, comm, options.scheme, [&](PowerScheme scheme) -> sim::Task<> {
@@ -91,8 +90,8 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
 
   // Phase A (inter-rack): the root ships each other rack its contiguous
   // block range, crossing every rack uplink exactly once.
-  std::vector<std::byte> rack_range;
-  std::span<const std::byte> rack_data;  // this rack's blocks
+  Scratch rack_range(self);
+  ConstExtent rack_data;  // this rack's blocks
   if (me == root) {
     PACC_EXPECTS(send.size() == static_cast<std::size_t>(P) * blk);
     for (const int rack : comm.racks()) {
@@ -115,8 +114,8 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
 
   // Phase B (intra-rack): the rack source feeds the other node sources of
   // its rack.
-  std::vector<std::byte> node_range;
-  std::span<const std::byte> node_data;  // this node's blocks
+  Scratch node_range(self);
+  ConstExtent node_data;  // this node's blocks
   if (i_am_rack_src) {
     const auto& mine = comm.members_on_rack(my_rack);
     for (const int node : comm.nodes()) {
@@ -149,7 +148,7 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
     for (std::size_t i = 0; i < locals.size(); ++i) {
       const int peer = locals[i];
       if (peer == me) {
-        copy_bytes(recv.data(), node_data.data() + i * blk, blk);
+        copy_bytes(recv, node_data.subspan(i * blk, blk));
       } else {
         co_await self.send(comm.global_rank(peer), tag,
                            node_data.subspan(i * blk, blk));
@@ -163,8 +162,7 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
 }
 
 sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv, Bytes block,
+                              ConstExtent send, Extent recv, Bytes block,
                               int root, const TopoAwareOptions& options) {
   co_await run_with_scheme(
       self, comm, options.scheme, [&](PowerScheme scheme) -> sim::Task<> {
@@ -188,18 +186,17 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
   const bool i_am_node_dst = roles.node_src(my_node) == me;
 
   // Phase A (intra-node): locals push their block to the node sink.
-  std::vector<std::byte> node_range;
+  Scratch node_range(self);
   if (i_am_node_dst) {
     const auto& locals = comm.members_on_node(my_node);
     node_range.resize(locals.size() * blk);
     for (std::size_t i = 0; i < locals.size(); ++i) {
       const int peer = locals[i];
       if (peer == me) {
-        copy_bytes(node_range.data() + i * blk, send.data(), blk);
+        copy_bytes(node_range.subspan(i * blk, blk), send);
       } else {
-        co_await self.recv(
-            comm.global_rank(peer), tag,
-            std::span<std::byte>(node_range).subspan(i * blk, blk));
+        co_await self.recv(comm.global_rank(peer), tag,
+                           node_range.subspan(i * blk, blk));
       }
     }
   } else {
@@ -207,7 +204,7 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
   }
 
   // Phase B (intra-rack): node sinks push node ranges to the rack sink.
-  std::vector<std::byte> rack_range;
+  Scratch rack_range(self);
   if (i_am_rack_dst) {
     const auto& mine = comm.members_on_rack(my_rack);
     rack_range.resize(mine.size() * blk);
@@ -215,8 +212,7 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
       const auto& locals = comm.members_on_node(my_node);
       const auto offset =
           static_cast<std::size_t>(first_of(locals) - first_of(mine)) * blk;
-      copy_bytes(rack_range.data() + offset, node_range.data(),
-                 node_range.size());
+      copy_bytes(rack_range.subspan(offset, node_range.size()), node_range);
     }
     for (const int node : comm.nodes()) {
       if (comm.runtime().placement().shape.rack_of(node) != my_rack ||
@@ -226,10 +222,8 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
       const auto& members = comm.members_on_node(node);
       const auto offset =
           static_cast<std::size_t>(first_of(members) - first_of(mine)) * blk;
-      co_await self.recv(
-          comm.global_rank(roles.node_src(node)), tag,
-          std::span<std::byte>(rack_range).subspan(offset,
-                                                   members.size() * blk));
+      co_await self.recv(comm.global_rank(roles.node_src(node)), tag,
+                         rack_range.subspan(offset, members.size() * blk));
     }
   } else if (i_am_node_dst) {
     co_await self.send(comm.global_rank(roles.rack_src(my_rack)), tag,
@@ -242,9 +236,10 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
     PACC_EXPECTS(recv.size() == static_cast<std::size_t>(P) * blk);
     {
       const auto& mine = comm.members_on_rack(my_rack);
-      copy_bytes(recv.data() +
-                     static_cast<std::size_t>(first_of(mine)) * blk,
-                 rack_range.data(), rack_range.size());
+      copy_bytes(
+          recv.subspan(static_cast<std::size_t>(first_of(mine)) * blk,
+                       rack_range.size()),
+          rack_range);
     }
     for (const int rack : comm.racks()) {
       if (rack == my_rack) continue;

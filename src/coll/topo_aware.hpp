@@ -33,16 +33,14 @@ bool topo_aware_applicable(const mpi::Comm& comm);
 /// except the rack leaders are throttled to T7 during the inter-rack phase
 /// (§VIII). Falls back to the binomial scatter when not applicable.
 sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
-                               std::span<const std::byte> send,
-                               std::span<std::byte> recv, Bytes block,
+                               ConstExtent send, Extent recv, Bytes block,
                                int root, const TopoAwareOptions& options = {});
 
 /// Hierarchical gather (reverse routing). Power schemes apply per-call DVFS
 /// only: a gather has no long waiting phase to throttle — leaves finish and
 /// leave the collective.
 sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv, Bytes block,
+                              ConstExtent send, Extent recv, Bytes block,
                               int root, const TopoAwareOptions& options = {});
 
 }  // namespace pacc::coll

@@ -174,9 +174,9 @@ PlanPtr get_tree_plan(mpi::Comm& comm, PlanKind kind, TreeKind tree,
   return plan;
 }
 
-sim::Task<> bcast_tree_exec(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<std::byte> buf, int root, TreeKind tree,
-                            Bytes seg, PowerScheme scheme) {
+sim::Task<> bcast_tree_exec(mpi::Rank& self, mpi::Comm& comm, Extent buf,
+                            int root, TreeKind tree, Bytes seg,
+                            PowerScheme scheme) {
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
@@ -216,10 +216,9 @@ sim::Task<> bcast_tree_exec(mpi::Rank& self, mpi::Comm& comm,
   co_await run_power_actions(self, comm, *plan, ops);
 }
 
-sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv, ReduceOp op, int root,
-                             TreeKind tree, Bytes seg, PowerScheme scheme) {
+sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                             Extent recv, ReduceOp op, int root, TreeKind tree,
+                             Bytes seg, PowerScheme scheme) {
   PACC_EXPECTS_MSG(send.size() % sizeof(double) == 0,
                    "reductions operate on double elements");
   PACC_EXPECTS_MSG(seg % sizeof(double) == 0,
@@ -235,18 +234,18 @@ sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   for (int s = 1; s < segments; ++s) comm.begin_collective(me);
 
-  std::vector<std::byte> accum(send.begin(), send.end());
+  Scratch accum(self, send);
   if (P == 1) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(recv, accum);
     co_return;
   }
   const PlanPtr plan =
       get_tree_plan(comm, PlanKind::kReduceTreeSeg, tree, bytes, seg, power,
                     root);
 
-  std::vector<std::byte> incoming(
-      static_cast<std::size_t>(segments <= 1 ? bytes : seg));
+  Scratch incoming(self,
+                   static_cast<std::size_t>(segments <= 1 ? bytes : seg));
   std::vector<int> sent(static_cast<std::size_t>(P), 0);
   std::vector<int> rcvd(static_cast<std::size_t>(P), 0);
   ExchangeOps ops;
@@ -254,25 +253,24 @@ sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
     const int s = sent[static_cast<std::size_t>(peer)]++;
     const auto [off, len] = segment_range(bytes, seg, segments, s);
     co_await self.send(comm.global_rank(peer), tag + s,
-                       std::span<const std::byte>(accum).subspan(off, len));
+                       accum.subspan(off, len));
   };
   ops.recv_from = [&](int peer) -> sim::Task<> {
     const int s = rcvd[static_cast<std::size_t>(peer)]++;
     const auto [off, len] = segment_range(bytes, seg, segments, s);
-    const auto in = std::span<std::byte>(incoming).first(len);
+    const Extent in = incoming.first(len);
     co_await self.recv(comm.global_rank(peer), tag + s, in);
-    reduce_bytes(op, std::span<std::byte>(accum).subspan(off, len), in);
+    reduce_bytes(op, accum.subspan(off, len), in);
   };
   co_await run_power_actions(self, comm, *plan, ops);
 
   if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(recv, accum);
   }
 }
 
-sim::Task<> bcast_tree(mpi::Rank& self, mpi::Comm& comm,
-                       std::span<std::byte> buf, int root,
+sim::Task<> bcast_tree(mpi::Rank& self, mpi::Comm& comm, Extent buf, int root,
                        const TreeOptions& options) {
   ProfileScope prof(self, "bcast", static_cast<Bytes>(buf.size()));
   co_await run_with_scheme(
@@ -282,10 +280,8 @@ sim::Task<> bcast_tree(mpi::Rank& self, mpi::Comm& comm,
       });
 }
 
-sim::Task<> reduce_tree(mpi::Rank& self, mpi::Comm& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, int root,
-                        const TreeOptions& options) {
+sim::Task<> reduce_tree(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                        Extent recv, int root, const TreeOptions& options) {
   ProfileScope prof(self, "reduce", static_cast<Bytes>(send.size()));
   co_await run_with_scheme(
       self, comm, options.scheme, [&](PowerScheme scheme) -> sim::Task<> {

@@ -51,26 +51,22 @@ PlanPtr get_tree_plan(mpi::Comm& comm, PlanKind kind, TreeKind tree,
 
 /// Tree broadcast body with the scheme already negotiated (the registry's
 /// exec_inner hook; also the tuned-dispatch target inside bcast()).
-sim::Task<> bcast_tree_exec(mpi::Rank& self, mpi::Comm& comm,
-                            std::span<std::byte> buf, int root, TreeKind tree,
-                            Bytes seg, PowerScheme scheme);
+sim::Task<> bcast_tree_exec(mpi::Rank& self, mpi::Comm& comm, Extent buf,
+                            int root, TreeKind tree, Bytes seg,
+                            PowerScheme scheme);
 
 /// Tree reduction body with the scheme already negotiated.
-sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv, ReduceOp op, int root,
-                             TreeKind tree, Bytes seg, PowerScheme scheme);
+sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                             Extent recv, ReduceOp op, int root, TreeKind tree,
+                             Bytes seg, PowerScheme scheme);
 
 /// Full tree-broadcast entry point: profiling + scheme negotiation + the
 /// per-call DVFS bracket around bcast_tree_exec.
-sim::Task<> bcast_tree(mpi::Rank& self, mpi::Comm& comm,
-                       std::span<std::byte> buf, int root,
+sim::Task<> bcast_tree(mpi::Rank& self, mpi::Comm& comm, Extent buf, int root,
                        const TreeOptions& options = {});
 
 /// Full tree-reduce entry point.
-sim::Task<> reduce_tree(mpi::Rank& self, mpi::Comm& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, int root,
-                        const TreeOptions& options = {});
+sim::Task<> reduce_tree(mpi::Rank& self, mpi::Comm& comm, ConstExtent send,
+                        Extent recv, int root, const TreeOptions& options = {});
 
 }  // namespace pacc::coll

@@ -182,9 +182,11 @@ bool Tuner::load(std::istream& in, std::string* error) {
       }
       fp = fp * 10 + static_cast<std::uint64_t>(c - '0');
     }
-    record(TunedKey{.op = *op, .scheme = *scheme, .bytes = *bytes,
+    record(TunedKey{.op = *op,
+                    .scheme = *scheme,
+                    .bytes = static_cast<Bytes>(*bytes),
                     .fingerprint = fp},
-           TunedDecision{.algo = *algo, .seg = *seg});
+           TunedDecision{.algo = *algo, .seg = static_cast<Bytes>(*seg)});
   }
   if (!schema_seen) return fail(error, "missing pacc-tuned-v1 schema header");
   // A table without its closing brace is a torn write, not a shorter

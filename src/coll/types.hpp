@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 #include "coll/algo.hpp"
@@ -19,9 +18,9 @@
 namespace pacc::coll {
 
 /// Applies `op` element-wise: accum[i] = accum[i] (op) in[i].
-/// Buffers are interpreted as arrays of double (size % 8 == 0).
-void reduce_bytes(ReduceOp op, std::span<std::byte> accum,
-                  std::span<const std::byte> in);
+/// Buffers are interpreted as arrays of double (size % 8 == 0). A size-only
+/// side (mpi/extent.hpp) makes it a no-op: there are no values to combine.
+void reduce_bytes(ReduceOp op, Extent accum, ConstExtent in);
 
 /// Smallest power of two >= x.
 int ceil_pow2(int x);

@@ -79,13 +79,13 @@ struct ClusterShape {
   /// rack layer entirely (`nodes_per_rack` must then be 0); nodes are
   /// grouped consecutively at every level, and the product of the level
   /// group sizes must divide `nodes` evenly.
-  std::vector<FabricLevelSpec> fabric;
+  std::vector<FabricLevelSpec> fabric{};
 
   /// Dragonfly interconnect (see DragonflySpec). Mutually exclusive with
   /// both the fat-tree `fabric` and the rack layer; nodes are assigned to
   /// routers (and routers to groups) consecutively, and
   /// routers_per_group * nodes_per_router must divide `nodes` evenly.
-  DragonflySpec dragonfly;
+  DragonflySpec dragonfly{};
 
   int cores_per_node() const { return sockets_per_node * cores_per_socket; }
   int total_cores() const { return nodes * cores_per_node(); }

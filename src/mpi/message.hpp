@@ -3,8 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
+
+#include "mpi/extent.hpp"
 
 namespace pacc::mpi {
 
@@ -28,28 +29,28 @@ struct Message {
   int tag = 0;
   std::vector<std::byte> payload;
   /// Logical payload size when the contents are elided (synthetic-payload
-  /// runtimes leave `payload` empty; every timing and matching decision is
-  /// driven by the size alone). Ignored whenever `payload` is non-empty.
+  /// runtimes and size-only extents leave `payload` empty; every timing
+  /// and matching decision is driven by the size alone). Ignored whenever
+  /// `payload` is non-empty.
   std::size_t bytes = 0;
 
   std::size_t size() const { return payload.empty() ? bytes : payload.size(); }
 };
 
-/// Copies a span into a fresh payload vector.
-inline std::vector<std::byte> to_payload(std::span<const std::byte> data) {
-  return {data.begin(), data.end()};
-}
-
-/// Builds a message for the wire. With `synthetic` set the contents are not
-/// copied — only the size travels — which is sound exactly when no receiver
-/// reads the delivered bytes (see RuntimeParams::synthetic_payloads).
-inline Message make_message(int src, int tag, std::span<const std::byte> data,
+/// Builds a message for the wire. The contents travel only when they exist
+/// and the runtime ships them: with `synthetic` set, or for a size-only
+/// extent, just the size does — sound exactly when no receiver reads the
+/// delivered bytes (see RuntimeParams::synthetic_payloads).
+inline Message make_message(int src, int tag, ConstExtent data,
                             bool synthetic) {
   Message msg;
   msg.src = src;
   msg.tag = tag;
   msg.bytes = data.size();
-  if (!synthetic) msg.payload.assign(data.begin(), data.end());
+  if (!synthetic && data.has_bytes()) {
+    const auto bytes = data.bytes();
+    msg.payload.assign(bytes.begin(), bytes.end());
+  }
   return msg;
 }
 

@@ -28,7 +28,7 @@ Rank::Rank(Runtime& rt, int id, hw::CoreId core)
 hw::Machine& Rank::machine() { return rt_.machine(); }
 sim::Engine& Rank::engine() { return rt_.engine(); }
 
-sim::Task<> Rank::send(int dst, int tag, std::span<const std::byte> data) {
+sim::Task<> Rank::send(int dst, int tag, ConstExtent data) {
   PACC_EXPECTS(dst >= 0 && dst < rt_.size());
   Runtime& rt = rt_;
   // The span guard outlives the eager early co_return: the coroutine frame
@@ -204,7 +204,7 @@ sim::Task<Message> Rank::await_message(int src, int tag) {
   co_return std::move(*msg);
 }
 
-sim::Task<> Rank::recv(int src, int tag, std::span<std::byte> out) {
+sim::Task<> Rank::recv(int src, int tag, Extent out) {
   PACC_EXPECTS(src >= 0 && src < rt_.size());
   auto* tracer = engine().tracer();
   obs::PhaseSpan recv_span(
@@ -214,9 +214,9 @@ sim::Task<> Rank::recv(int src, int tag, std::span<std::byte> out) {
   Message msg = co_await await_message(src, tag);
   PACC_EXPECTS_MSG(msg.size() == out.size(),
                    "received payload size does not match the posted buffer");
-  // A synthetic-payload message carries only its size; the posted buffer
-  // keeps whatever it held.
-  if (!msg.payload.empty()) {
+  // A size-only message leaves the posted buffer as it was; a size-only
+  // buffer has nowhere to put the contents.
+  if (!msg.payload.empty() && out.has_bytes()) {
     std::memcpy(out.data(), msg.payload.data(), out.size());
   }
   // Receive-side CPU cost (message unpacking / matching).
@@ -228,9 +228,8 @@ sim::Task<> Rank::recv(int src, int tag, std::span<std::byte> out) {
   co_await engine().delay(startup * machine().cpu_slowdown(core_));
 }
 
-sim::Task<> Rank::sendrecv(int dst, int send_tag,
-                           std::span<const std::byte> data, int src,
-                           int recv_tag, std::span<std::byte> out) {
+sim::Task<> Rank::sendrecv(int dst, int send_tag, ConstExtent data, int src,
+                           int recv_tag, Extent out) {
   co_await send(dst, send_tag, data);
   co_await recv(src, recv_tag, out);
 }
@@ -244,36 +243,36 @@ sim::Task<> isend_body(Rank& self, int dst, int tag,
   latch->fire();
 }
 
-sim::Task<> irecv_body(Rank& self, int src, int tag, std::span<std::byte> out,
+sim::Task<> irecv_body(Rank& self, int src, int tag, Extent out,
                        std::shared_ptr<sim::Latch> latch) {
   co_await self.recv(src, tag, out);
   latch->fire();
 }
 
-sim::Task<> isend_span_body(Rank& self, int dst, int tag,
-                            std::span<const std::byte> data,
-                            std::shared_ptr<sim::Latch> latch) {
+sim::Task<> isend_extent_body(Rank& self, int dst, int tag, ConstExtent data,
+                              std::shared_ptr<sim::Latch> latch) {
   co_await self.send(dst, tag, data);
   latch->fire();
 }
 
 }  // namespace
 
-Rank::Request Rank::isend(int dst, int tag, std::span<const std::byte> data) {
+Rank::Request Rank::isend(int dst, int tag, ConstExtent data) {
   auto latch = std::make_shared<sim::Latch>(engine());
-  if (rt_.params().synthetic_payloads) {
-    // send() reads only the span's extent in this mode, so the defensive
-    // copy of the contents buys nothing.
-    rt_.spawn_detached(isend_span_body(*this, dst, tag, data, latch));
+  if (rt_.params().synthetic_payloads || !data.has_bytes()) {
+    // send() reads only the extent's size here, so the defensive copy of
+    // the contents buys nothing.
+    rt_.spawn_detached(isend_extent_body(*this, dst, tag, data, latch));
   } else {
+    const auto bytes = data.bytes();
     rt_.spawn_detached(isend_body(
-        *this, dst, tag, std::vector<std::byte>(data.begin(), data.end()),
+        *this, dst, tag, std::vector<std::byte>(bytes.begin(), bytes.end()),
         latch));
   }
   return Request(std::move(latch));
 }
 
-Rank::Request Rank::irecv(int src, int tag, std::span<std::byte> out) {
+Rank::Request Rank::irecv(int src, int tag, Extent out) {
   auto latch = std::make_shared<sim::Latch>(engine());
   rt_.spawn_detached(irecv_body(*this, src, tag, out, latch));
   return Request(std::move(latch));
@@ -290,7 +289,7 @@ sim::Task<> Rank::waitall(std::span<Request> requests) {
   if (gov != nullptr) co_await gov->wait_end(*this, WaitSite::kWaitall);
 }
 
-sim::Task<> Rank::shm_publish(int tag, std::span<const std::byte> data,
+sim::Task<> Rank::shm_publish(int tag, ConstExtent data,
                               std::span<const int> readers) {
   PACC_EXPECTS_MSG(rt_.params().mode == ProgressMode::kPolling,
                    "blocking mode has no shared-memory channel (§II-B)");
@@ -312,7 +311,7 @@ sim::Task<> Rank::shm_publish(int tag, std::span<const std::byte> data,
   }
 }
 
-sim::Task<> Rank::shm_read(int writer, int tag, std::span<std::byte> out) {
+sim::Task<> Rank::shm_read(int writer, int tag, Extent out) {
   Message msg = co_await await_message(writer, tag);
   PACC_EXPECTS(msg.size() == out.size());
   const auto& np = rt_.network().params();
@@ -323,7 +322,7 @@ sim::Task<> Rank::shm_read(int writer, int tag, std::span<std::byte> out) {
       1.0);
   co_await rt_.network().transfer(node(), node(), static_cast<Bytes>(out.size()),
                                   /*force_loopback=*/false, mult);
-  if (!msg.payload.empty()) {
+  if (!msg.payload.empty() && out.has_bytes()) {
     std::memcpy(out.data(), msg.payload.data(), out.size());
   }
 }

@@ -24,6 +24,7 @@
 #include "hw/machine.hpp"
 #include "hw/topology.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/extent.hpp"
 #include "mpi/governor.hpp"
 #include "mpi/mailbox.hpp"
 #include "mpi/profiler.hpp"
@@ -67,12 +68,15 @@ struct RuntimeParams {
   /// blocking waits already sleep at frequency-independent idle power, so
   /// the Runtime constructor refuses enabled + kBlocking outright.
   GovernorParams governor;
-  /// Ship message sizes without their contents: sends skip the payload
-  /// copy and receives leave the posted buffer untouched. Every simulated
-  /// quantity (timing, energy, traces, fault draws) depends only on sizes,
-  /// so measurement harnesses that never read received bytes get identical
-  /// results minus GiBs of memcpy traffic. Leave off for programs that do
-  /// read what they receive.
+  /// Size-only payloads: messages carry byte counts, not bytes. Sends skip
+  /// the payload copy, receives leave the posted buffer untouched, and the
+  /// collectives' scratch buffers become size-only extents
+  /// (mpi/extent.hpp), so their pack, unpack and reduce_bytes steps touch
+  /// no memory. Every simulated quantity (timing, energy, traces, fault
+  /// draws) depends only on sizes, so results are identical; a harness
+  /// that also passes size-only extents (measure_collective) allocates no
+  /// payload memory at all. Leave off for programs that read what they
+  /// receive.
   bool synthetic_payloads = false;
   /// Rank-symmetry collapse (see src/sym/collapse.hpp). The placement
   /// still describes the FULL logical cluster, but only the first
@@ -118,15 +122,15 @@ class Rank {
 
   /// Sends `data` to `dst`. Small messages are eager (the sender resumes
   /// after injection); large ones hold the sender until delivery.
-  sim::Task<> send(int dst, int tag, std::span<const std::byte> data);
+  sim::Task<> send(int dst, int tag, ConstExtent data);
 
   /// Receives a message from `src` with `tag` into `out`; the payload size
   /// must equal out.size() (collectives always know sizes).
-  sim::Task<> recv(int src, int tag, std::span<std::byte> out);
+  sim::Task<> recv(int src, int tag, Extent out);
 
   /// send() then recv() — the usual exchange step of pair-wise algorithms.
-  sim::Task<> sendrecv(int dst, int send_tag, std::span<const std::byte> data,
-                       int src, int recv_tag, std::span<std::byte> out);
+  sim::Task<> sendrecv(int dst, int send_tag, ConstExtent data, int src,
+                       int recv_tag, Extent out);
 
   // --- non-blocking point-to-point ---
   //
@@ -158,10 +162,10 @@ class Rank {
   };
 
   /// Starts a send in the background (the payload is copied immediately).
-  Request isend(int dst, int tag, std::span<const std::byte> data);
+  Request isend(int dst, int tag, ConstExtent data);
 
   /// Starts a receive in the background; `out` must outlive completion.
-  Request irecv(int src, int tag, std::span<std::byte> out);
+  Request irecv(int src, int tag, Extent out);
 
   /// Awaits every request (MPI_Waitall).
   sim::Task<> waitall(std::span<Request> requests);
@@ -176,12 +180,12 @@ class Rank {
 
   /// Writes `data` into the node's shared region and signals `readers`
   /// (global ranks on this node).
-  sim::Task<> shm_publish(int tag, std::span<const std::byte> data,
+  sim::Task<> shm_publish(int tag, ConstExtent data,
                           std::span<const int> readers);
 
   /// Waits for `writer`'s publish with `tag`, then copies the payload out
   /// of the shared region into `out` (concurrent with other readers).
-  sim::Task<> shm_read(int writer, int tag, std::span<std::byte> out);
+  sim::Task<> shm_read(int writer, int tag, Extent out);
 
   // --- local work & power control ---
 

@@ -91,10 +91,10 @@ struct CampaignOptions {
   /// Overrides each cell's ClusterConfig::max_sim_time, so a deadlocked or
   /// runaway cell yields kTimeout quickly instead of simulating the
   /// default hour-long safety bound.
-  std::optional<Duration> cell_timeout;
+  std::optional<Duration> cell_timeout{};
   /// Called after every finished cell, serialized under an internal lock
   /// (safe to print or cancel() from). Completion order, not cell order.
-  std::function<void(const CampaignProgress&)> on_progress;
+  std::function<void(const CampaignProgress&)> on_progress{};
   /// Write-ahead cell journal (pacc/journal.hpp): every executed cell is
   /// durably appended before the sweep moves on, keyed by its canonical
   /// config hash. With `resume` also set, cells whose key the journal
@@ -102,7 +102,7 @@ struct CampaignOptions {
   /// restarted any number of times converges on the byte-identical
   /// artifact of an uninterrupted run, at any `jobs`. See
   /// docs/DURABILITY.md.
-  std::shared_ptr<CellJournal> journal;
+  std::shared_ptr<CellJournal> journal{};
   /// Skip cells already present in `journal` (their results are replayed
   /// from it). Without a journal this flag has no effect.
   bool resume = false;
@@ -111,7 +111,7 @@ struct CampaignOptions {
   /// whose canonical hash is present is served from the cache, and fresh
   /// results are appended for future campaigns. Distinct from `journal`
   /// (which is per-sweep and consulted only under `resume`).
-  std::shared_ptr<CellJournal> result_cache;
+  std::shared_ptr<CellJournal> result_cache{};
   /// Execute each cell in a forked worker subprocess, so an abort, OOM
   /// kill or sanitizer trap inside one simulation is confined to that
   /// cell: the death is classified as RunStatus kCrashed (message = exit
@@ -130,7 +130,7 @@ struct CampaignOptions {
   /// forked child when `isolate_cells` is set — with the cell index.
   /// Deliberately crashing here is how the crash-isolation paths are
   /// exercised (tests, paccbench --crash-cell, CI).
-  std::function<void(std::size_t)> before_cell;
+  std::function<void(std::size_t)> before_cell{};
 };
 
 class Campaign {

@@ -1,6 +1,5 @@
 #include "pacc/simulation.hpp"
 
-#include <cstring>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -200,94 +199,52 @@ struct TimedWindow {
   Joules e1 = 0.0;
 };
 
-/// Per-rank working buffers for one collective benchmark.
-struct Buffers {
-  std::vector<std::byte> send;
-  std::vector<std::byte> recv;
-  std::vector<Bytes> send_counts;
-  std::vector<Bytes> recv_counts;
-  /// kAlltoall / kAlltoallv: one uninitialized arena backing both views.
-  /// At 4096 ranks × 1 MiB blocks each buffer spans 4 GiB of address
-  /// space; the pure data-movement executors never do arithmetic on the
-  /// contents, so leaving the pages untouched until a rank copies into
-  /// its own slices keeps resident memory bounded by the actual working
-  /// set. Ops that compute on their buffers keep the zeroed vectors.
-  std::unique_ptr<std::byte[]> arena;
-  std::span<std::byte> send_view;
-  std::span<std::byte> recv_view;
-};
+}  // namespace
 
-Buffers make_buffers(const CollectiveBenchSpec& spec, int ranks) {
-  Buffers b;
-  const auto P = static_cast<std::size_t>(ranks);
-  const Bytes msg = round_to_doubles(spec.message);
-  const auto m = static_cast<std::size_t>(msg);
+coll::AlgoCall measured_call(const CollectiveBenchSpec& spec, int ranks,
+                             std::span<const Bytes> counts) {
+  const Bytes block = round_to_doubles(spec.message);
+  const auto m = static_cast<std::size_t>(block);
+  const auto all = static_cast<std::size_t>(ranks) * m;
+  std::size_t send = 0;
+  std::size_t recv = 0;
   switch (spec.op) {
     case coll::Op::kAlltoall:
     case coll::Op::kAlltoallv:
-      if (spec.op == coll::Op::kAlltoallv) {
-        b.send_counts.assign(P, msg);
-        b.recv_counts.assign(P, msg);
-      }
-      b.arena.reset(new std::byte[2 * P * m]);
-      b.send_view = std::span<std::byte>(b.arena.get(), P * m);
-      b.recv_view = std::span<std::byte>(b.arena.get() + P * m, P * m);
-      return b;
+      send = recv = all;
+      break;
     case coll::Op::kBcast:
-      b.send.resize(m);
+      send = m;
       break;
     case coll::Op::kReduce:
     case coll::Op::kAllreduce:
-      b.send.resize(m);
-      b.recv.resize(m);
+    case coll::Op::kScan:
+      send = recv = m;
       break;
     case coll::Op::kAllgather:
-      b.send.resize(m);
-      b.recv.resize(P * m);
-      break;
     case coll::Op::kGather:
-      b.send.resize(m);
-      b.recv.resize(P * m);
+      send = m;
+      recv = all;
       break;
     case coll::Op::kScatter:
-      b.send.resize(P * m);
-      b.recv.resize(m);
-      break;
-    case coll::Op::kScan:
-      b.send.resize(m);
-      b.recv.resize(m);
-      break;
     case coll::Op::kReduceScatter:
-      b.send.resize(P * m);
-      b.recv.resize(m);
+      send = all;
+      recv = m;
       break;
     case coll::Op::kBarrier:
       break;
   }
-  b.send_view = b.send;
-  b.recv_view = b.recv;
-  return b;
-}
-
-/// One matched call of `desc` (the op's default dispatcher, or a forced
-/// registry variant) — the registry-driven replacement of the historical
-/// per-op switch.
-sim::Task<> run_op_once(mpi::Rank& self, mpi::Comm& comm,
-                        const CollectiveBenchSpec& spec, Buffers& b,
-                        const coll::AlgoDesc& desc) {
   coll::AlgoCall call;
-  call.send = b.send_view;
-  call.recv = b.recv_view;
-  call.send_counts = b.send_counts;
-  call.recv_counts = b.recv_counts;
-  call.block = round_to_doubles(spec.message);
+  call.send = coll::Extent::sized(send);
+  call.recv = coll::Extent::sized(recv);
+  call.send_counts = counts;
+  call.recv_counts = counts;
+  call.block = block;
   call.root = spec.root;
   call.scheme = spec.scheme;
   call.seg = spec.seg;
-  co_await desc.exec(self, comm, call);
+  return call;
 }
-
-}  // namespace
 
 CollectiveReport measure_collective(const ClusterConfig& config,
                                     const CollectiveBenchSpec& spec) {
@@ -366,10 +323,9 @@ CollectiveReport measure_collective(const ClusterConfig& config,
       return report;
     }
   }
-  // The harness never reads received bytes, so the runtime can ship sizes
-  // without contents (synthetic payloads) — every simulated quantity
-  // depends only on sizes, and the per-message copy traffic (GiBs per cell
-  // at MiB block sizes) dominated wall time.
+  // The harness never reads a payload byte, so the runtime ships sizes
+  // without contents (synthetic payloads) and the calls below pass
+  // size-only extents — every simulated quantity depends only on sizes.
   ClusterConfig harness_config = config;
   harness_config.synthetic_payloads = true;
   // A forced algorithm must actually run: detach the tuner so the default
@@ -386,18 +342,18 @@ CollectiveReport measure_collective(const ClusterConfig& config,
   Simulation sim(harness_config);
   auto window = std::make_shared<TimedWindow>();
 
-  // One arena shared by every simulated rank, for the same reason: the
-  // simulator is payload-content-blind, so the measurement loop gains
-  // nothing from 64 private copies of up to P·message bytes each. Aliased
-  // self-copies the sharing introduces are guarded in coll::copy_bytes.
-  Buffers buffers = make_buffers(spec, config.ranks);
+  const std::vector<Bytes> counts(
+      spec.op == coll::Op::kAlltoallv ? static_cast<std::size_t>(config.ranks)
+                                      : 0,
+      round_to_doubles(spec.message));
+  const coll::AlgoCall call = measured_call(spec, config.ranks, counts);
 
-  auto body = [&sim, &spec, window, &buffers,
+  auto body = [&sim, &spec, window, &call,
                algo](mpi::Rank& self) -> sim::Task<> {
     mpi::Comm& world = sim.runtime().world();
 
     for (int i = 0; i < spec.warmup; ++i) {
-      co_await run_op_once(self, world, spec, buffers, *algo);
+      co_await algo->exec(self, world, call);
     }
     co_await coll::barrier(self, world);
     if (self.id() == 0) {
@@ -405,7 +361,7 @@ CollectiveReport measure_collective(const ClusterConfig& config,
       window->e0 = self.machine().total_energy();
     }
     for (int i = 0; i < spec.iterations; ++i) {
-      co_await run_op_once(self, world, spec, buffers, *algo);
+      co_await algo->exec(self, world, call);
     }
     co_await coll::barrier(self, world);
     if (self.id() == 0) {

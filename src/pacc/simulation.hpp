@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,11 +85,12 @@ struct ClusterConfig {
   /// governor + blocking mode (and for kPowerCap with a §V scheme or a
   /// non-positive budget).
   mpi::GovernorParams governor;
-  /// Ship message sizes without contents (see
-  /// mpi::RuntimeParams::synthetic_payloads). measure_collective turns this
-  /// on for its own runs — the harness never reads received bytes — which
-  /// removes the per-message copy traffic that dominated wall time at MiB
-  /// block sizes. Leave off for programs that read what they receive.
+  /// Size-only payloads: messages and collective scratch buffers carry
+  /// byte counts, not bytes (see mpi::RuntimeParams::synthetic_payloads).
+  /// measure_collective turns this on for its own runs and passes
+  /// size-only extents, so a measured cell allocates, copies and reduces no
+  /// payload memory; every simulated figure is identical to a run with
+  /// real buffers. Leave off for programs that read what they receive.
   bool synthetic_payloads = false;
   /// Build collective plans as historical rank-indexed tables instead of
   /// class-compressed templates (see coll/plan.hpp and
@@ -133,7 +135,7 @@ struct ClusterConfig {
 /// Outcome of one simulated program run.
 struct RunReport {
   /// Structured outcome: kOk, or kDeadlock / kTimeout with a detail
-  /// message naming the stuck tasks. Replaces the old `completed` bool.
+  /// message naming the stuck tasks.
   RunStatus status;
   Duration elapsed;
   Joules energy = 0.0;
@@ -148,10 +150,6 @@ struct RunReport {
   fault::FaultStats faults;
   /// Governor transition counters (all zero without a governor).
   mpi::GovernorStats governor;
-
-  [[deprecated("use status.ok() / status.outcome")]] bool completed() const {
-    return status.ok();
-  }
 };
 
 /// How a measurement's rank-symmetry collapse went (see
@@ -197,10 +195,6 @@ struct CollectiveReport {
   /// Rank-symmetry collapse outcome; energy_per_op / mean_power / power
   /// are already scaled back up to the logical cluster when it is active.
   CollapseStats collapse;
-
-  [[deprecated("use status.ok() / status.outcome")]] bool completed() const {
-    return status.ok();
-  }
 };
 
 /// Parameters of an OSU-style collective measurement.
@@ -262,6 +256,14 @@ class Simulation {
 /// Exposed because tuned-decision keys (coll/tuner.hpp) must be recorded
 /// at this rounded size to match the dispatch-time lookup.
 Bytes round_to_doubles(Bytes n);
+
+/// The registry call measure_collective makes for `spec` on `ranks` ranks:
+/// size-only extents (mpi/extent.hpp) of the op's buffer sizes, so no rank
+/// allocates or touches a payload byte. `counts` backs the alltoallv
+/// counts (`ranks` entries of the rounded message size; empty for other
+/// ops) and must outlive the call.
+coll::AlgoCall measured_call(const CollectiveBenchSpec& spec, int ranks,
+                             std::span<const Bytes> counts);
 
 /// Builds a cluster, runs `spec.warmup + spec.iterations` matched calls of
 /// the collective on the world communicator, and reports the averaged

@@ -36,8 +36,8 @@ struct TuneRequest {
 struct TuneCandidateResult {
   std::string algo;
   Bytes seg = 0;
-  RunStatus status;
-  Duration latency;  ///< meaningful only when status.ok()
+  RunStatus status{};
+  Duration latency{};  ///< meaningful only when status.ok()
 };
 
 /// One message size's race.

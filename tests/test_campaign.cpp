@@ -249,7 +249,7 @@ TEST(Campaign, GridIsClusterMajorWithDescriptiveLabels) {
   EXPECT_EQ(sweep.cells[1].label, "1/alltoall/no-power/4K");
 }
 
-TEST(RunStatus, DescribeAndDeprecatedShim) {
+TEST(RunStatus, Describe) {
   RunStatus ok;
   EXPECT_TRUE(ok.ok());
   EXPECT_EQ(to_string(ok.outcome), "ok");
@@ -259,10 +259,7 @@ TEST(RunStatus, DescribeAndDeprecatedShim) {
 
   RunReport report;
   report.status.outcome = RunOutcome::kDeadlock;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_FALSE(report.completed());  // the shim keeps old call sites alive
-#pragma GCC diagnostic pop
+  EXPECT_FALSE(report.status.ok());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // paccbench — OSU-style command-line harness for the simulated cluster.
 //
 // Collective sweep (one op, sizes stepped ×4; --jobs parallelises the cells):
-//   paccbench --op alltoall --ranks 64 --ppn 8 --min 16K --max 1M \
+//   paccbench --op alltoall --ranks 64 --ppn 8 --min 16K --max 1M
 //             --scheme proposed --iters 5 --warmup 2 [--csv] [--jobs 8]
 //
 // Full capability-matrix sweep (every supported op × scheme per size):
-//   paccbench --sweep --ranks 32 --ppn 4 --min 16K --max 256K --jobs 8 \
+//   paccbench --sweep --ranks 32 --ppn 4 --min 16K --max 256K --jobs 8
 //             --json sweep.json
 //
 // Application workload from a trace file (see src/apps/trace.hpp):
