@@ -74,7 +74,7 @@ FlowNetwork::FlowNetwork(sim::Engine& engine, hw::ClusterShape shape,
     }
   }
   link_efficiency_.assign(link_count, 1.0);
-  link_head_.assign(link_count, kNullFlow);
+  link_head_.assign(link_count, kNullHook);
   link_nflows_.assign(link_count, 0);
   residual_.assign(link_count, 0.0);
   wf_active_.assign(link_count, 0);
@@ -101,17 +101,10 @@ std::uint32_t FlowNetwork::alloc_flow() {
     free_flows_.pop_back();
     return slot;
   }
+  PACC_ASSERT(flows_.size() < hook_slot(kNullHook));
   flows_.emplace_back();
   flow_epoch_.push_back(0);
   return static_cast<std::uint32_t>(flows_.size() - 1);
-}
-
-int FlowNetwork::link_index_of(const Flow& flow, std::int32_t link) const {
-  for (int k = 0; k < flow.nlinks; ++k) {
-    if (flow.links[k] == link) return k;
-  }
-  PACC_ASSERT(false);  // flow is not on this link's list
-  return -1;
 }
 
 void FlowNetwork::link_flow(std::uint32_t slot) {
@@ -119,13 +112,12 @@ void FlowNetwork::link_flow(std::uint32_t slot) {
   for (int k = 0; k < flow.nlinks; ++k) {
     const auto l = static_cast<std::size_t>(flow.links[k]);
     const std::uint32_t head = link_head_[l];
-    flow.prev[k] = kNullFlow;
+    flow.prev[k] = kNullHook;
     flow.next[k] = head;
-    if (head != kNullFlow) {
-      Flow& head_flow = flows_[head];
-      head_flow.prev[link_index_of(head_flow, flow.links[k])] = slot;
+    if (head != kNullHook) {
+      flows_[hook_slot(head)].prev[hook_index(head)] = hook(slot, k);
     }
-    link_head_[l] = slot;
+    link_head_[l] = hook(slot, k);
     ++link_nflows_[l];
   }
 }
@@ -133,17 +125,16 @@ void FlowNetwork::link_flow(std::uint32_t slot) {
 void FlowNetwork::unlink_flow(std::uint32_t slot) {
   Flow& flow = flows_[slot];
   for (int k = 0; k < flow.nlinks; ++k) {
-    const std::int32_t link = flow.links[k];
-    const auto l = static_cast<std::size_t>(link);
+    const auto l = static_cast<std::size_t>(flow.links[k]);
     const std::uint32_t prev = flow.prev[k];
     const std::uint32_t next = flow.next[k];
-    if (prev != kNullFlow) {
-      flows_[prev].next[link_index_of(flows_[prev], link)] = next;
+    if (prev != kNullHook) {
+      flows_[hook_slot(prev)].next[hook_index(prev)] = next;
     } else {
       link_head_[l] = next;
     }
-    if (next != kNullFlow) {
-      flows_[next].prev[link_index_of(flows_[next], link)] = prev;
+    if (next != kNullHook) {
+      flows_[hook_slot(next)].prev[hook_index(next)] = prev;
     }
     --link_nflows_[l];
   }
@@ -345,8 +336,9 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   }
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
     const std::int32_t link = comp_links_[i];
-    for (std::uint32_t f = link_head_[static_cast<std::size_t>(link)];
-         f != kNullFlow;) {
+    for (std::uint32_t h = link_head_[static_cast<std::size_t>(link)];
+         h != kNullHook;) {
+      const std::uint32_t f = hook_slot(h);
       const Flow& flow = flows_[f];
       if (flow_epoch_[f] != epoch_) {
         flow_epoch_[f] = epoch_;
@@ -359,7 +351,7 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
           }
         }
       }
-      f = flow.next[link_index_of(flow, link)];
+      h = flow.next[hook_index(h)];
     }
   }
   if (comp_flows_.empty()) return;  // e.g. the last flow on a link departed
@@ -717,9 +709,9 @@ void FlowNetwork::preempt_link_flows(std::int32_t link,
                                      std::vector<std::int32_t>& seeds) {
   const auto l = static_cast<std::size_t>(link);
   std::vector<std::uint32_t> victims;
-  for (std::uint32_t f = link_head_[l]; f != kNullFlow;) {
-    victims.push_back(f);
-    f = flows_[f].next[link_index_of(flows_[f], link)];
+  for (std::uint32_t h = link_head_[l]; h != kNullHook;) {
+    victims.push_back(hook_slot(h));
+    h = flows_[hook_slot(h)].next[hook_index(h)];
   }
   for (const std::uint32_t slot : victims) {
     Flow& flow = flows_[slot];

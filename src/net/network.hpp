@@ -282,8 +282,21 @@ class FlowNetwork {
   /// level (the legacy rack layer counts as one level).
   static constexpr int kMaxFabricLevels = 3;
   static constexpr int kMaxLinks = 2 + 2 * kMaxFabricLevels;
-  static constexpr std::uint32_t kNullFlow = 0xffffffffu;
   static constexpr std::uint32_t kNoBatch = 0xffffffffu;
+
+  /// A per-link list hook names one membership — flow slot `slot`, listed
+  /// on its k-th link — packed as slot << kHookBits | k, so a list walk
+  /// reaches the neighbour's prev/next entry without searching its links[].
+  static constexpr int kHookBits = 3;
+  static_assert(kMaxLinks <= 1 << kHookBits);
+  static constexpr std::uint32_t kNullHook = 0xffffffffu;
+  static std::uint32_t hook(std::uint32_t slot, int k) {
+    return slot << kHookBits | static_cast<std::uint32_t>(k);
+  }
+  static std::uint32_t hook_slot(std::uint32_t h) { return h >> kHookBits; }
+  static int hook_index(std::uint32_t h) {
+    return static_cast<int>(h & ((1u << kHookBits) - 1));
+  }
 
   /// Slab-allocated flow. Intrusive per-link list hooks (prev/next per
   /// traversed link) give O(1) unlink without touching a hash map, and the
@@ -304,7 +317,7 @@ class FlowNetwork {
     std::uint8_t nlinks = 0;
     bool active = false;
     std::int32_t links[kMaxLinks] = {};
-    std::uint32_t prev[kMaxLinks] = {};  ///< intrusive list, per links[i]
+    std::uint32_t prev[kMaxLinks] = {};  ///< list hooks, per links[i]
     std::uint32_t next[kMaxLinks] = {};
   };
 
@@ -397,7 +410,6 @@ class FlowNetwork {
   std::uint32_t alloc_flow();
   void link_flow(std::uint32_t slot);
   void unlink_flow(std::uint32_t slot);
-  int link_index_of(const Flow& flow, std::int32_t link) const;
 
   /// Max–min water-filling restricted to the connected component of links
   /// reachable from `seeds`; reschedules completions whose rate changed.
@@ -444,7 +456,7 @@ class FlowNetwork {
   // Per-link state, indexed by link id.
   std::vector<double> link_bandwidth_;
   std::vector<double> link_efficiency_;     ///< fault layer; 1 = healthy
-  std::vector<std::uint32_t> link_head_;    ///< intrusive list head (slot)
+  std::vector<std::uint32_t> link_head_;    ///< intrusive list head (hook)
   std::vector<std::uint32_t> link_nflows_;  ///< active flows crossing link
 
   // Flow slab.

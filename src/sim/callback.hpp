@@ -4,9 +4,9 @@
 // coroutine handle, an object pointer plus an id), so the common case stores
 // the callable inline in 24 bytes with no heap allocation and a trivial
 // (memcpy) move. Larger or non-trivially-copyable callables — e.g. an eager
-// delivery closure owning a message payload — fall back to a single heap
-// allocation, which keeps the type fully general without penalising the
-// simulator's dominant event shapes.
+// delivery closure owning a message — fall back to one block from the
+// thread-local sim::BlockPool, which keeps the type fully general without
+// penalising the simulator's dominant event shapes.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +15,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "sim/block_pool.hpp"
 #include "util/expect.hpp"
 
 namespace pacc::sim {
@@ -40,9 +41,19 @@ class Callback {
       };
       drop_ = nullptr;  // trivially destructible by construction
     } else {
-      store_.ptr = new D(std::forward<F>(fn));
+      static_assert(alignof(D) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      void* block = BlockPool::allocate(sizeof(D));
+      try {
+        store_.ptr = ::new (block) D(std::forward<F>(fn));
+      } catch (...) {
+        BlockPool::deallocate(block, sizeof(D));
+        throw;
+      }
       invoke_ = [](Callback& self) { (*static_cast<D*>(self.store_.ptr))(); };
-      drop_ = [](Callback& self) { delete static_cast<D*>(self.store_.ptr); };
+      drop_ = [](Callback& self) {
+        static_cast<D*>(self.store_.ptr)->~D();
+        BlockPool::deallocate(self.store_.ptr, sizeof(D));
+      };
     }
   }
 
@@ -95,7 +106,7 @@ class Callback {
   using Drop = void (*)(Callback&);
 
   Invoke invoke_ = nullptr;
-  Drop drop_ = nullptr;  ///< non-null only for heap-allocated callables
+  Drop drop_ = nullptr;  ///< non-null only for pool-allocated callables
   union Storage {
     void* ptr;
     alignas(void*) std::byte buf[kInlineSize];

@@ -8,6 +8,12 @@ namespace {
 constexpr std::uint32_t kSlotMask = 0xffffffffu;
 }  // namespace
 
+Engine::~Engine() {
+  drop_tasks();
+  nodes_.clear();
+  BlockPool::release_cached();
+}
+
 void Engine::heap_push(HeapEntry e) {
   heap_.push_back(e);  // placeholder; filled by the hole walk below
   std::size_t i = heap_.size() - 1;
@@ -69,7 +75,12 @@ EventId Engine::schedule_at(TimePoint when, Callback fn) {
   const std::uint32_t slot = alloc_node();
   Node& node = nodes_[slot];
   node.fn = std::move(fn);
-  heap_push(HeapEntry{when.ns(), next_seq_++, slot, node.gen});
+  const HeapEntry entry{when.ns(), next_seq_++, slot, node.gen};
+  if (when == now_) {
+    lane_.push_back(entry);
+  } else {
+    heap_push(entry);
+  }
   return (static_cast<EventId>(node.gen) << 32) | slot;
 }
 
@@ -80,7 +91,7 @@ void Engine::cancel(EventId id) {
     return;  // already fired or already cancelled: no residue to track
   }
   release_node(slot);
-  ++cancelled_backlog_;  // the heap entry is now a tombstone
+  ++cancelled_backlog_;  // the queue entry is now a tombstone
 }
 
 void Engine::spawn(Task<> task) {
@@ -125,10 +136,20 @@ RunResult Engine::run_active_until(TimePoint deadline) {
 
 RunResult Engine::drain(TimePoint deadline, bool stop_when_idle) {
   stop_requested_ = false;
-  while (!heap_.empty() && heap_[0].when_ns <= deadline.ns() &&
-         !(stop_when_idle && active_tasks_ == 0) && !stop_requested_) {
-    const HeapEntry top = heap_[0];
-    heap_pop_top();
+  while (!(stop_when_idle && active_tasks_ == 0) && !stop_requested_) {
+    // The next event is the smaller of the lane front and the heap top.
+    const bool from_lane =
+        lane_head_ < lane_.size() &&
+        (heap_.empty() || heap_less(lane_[lane_head_], heap_[0]));
+    if (!from_lane && heap_.empty()) break;
+    const HeapEntry top = from_lane ? lane_[lane_head_] : heap_[0];
+    if (top.when_ns > deadline.ns()) break;
+    if (!from_lane) {
+      heap_pop_top();
+    } else if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
     Node& node = nodes_[top.slot];
     if (node.gen != top.gen) {
       --cancelled_backlog_;  // tombstone of a cancelled event: reclaim

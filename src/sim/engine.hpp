@@ -6,9 +6,18 @@
 //
 // The event core is allocation-free in steady state: callbacks use a
 // small-buffer type (sim::Callback), event nodes live in a pooled slab
-// indexed by the priority heap, and cancellation is O(1) via generation
-// counters — a cancelled event's heap entry becomes a lazy tombstone that is
-// reclaimed when it reaches the top of the heap.
+// indexed by the priority queue, and cancellation is O(1) via generation
+// counters — a cancelled event's queue entry becomes a lazy tombstone that
+// is reclaimed when it reaches the front. Task frames and oversized
+// callbacks come from the thread-local sim::BlockPool.
+//
+// The queue is a 4-ary heap plus a same-instant lane: an event scheduled at
+// now() (a coroutine resume, a zero-delay flush, a delivery) is appended to
+// a FIFO instead of sifted through the heap. Lane entries all carry
+// when == now() and increasing sequence numbers, so the lane is sorted by
+// (time, sequence); dispatch takes the smaller of the lane front and the
+// heap top under that same order, so the dispatch order is exactly the one
+// a single heap would give.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +50,9 @@ struct RunResult {
 class Engine {
  public:
   Engine() = default;
+  /// Destroys the task frames and callbacks still held, then hands the
+  /// thread's cached sim::BlockPool blocks back to the allocator.
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -116,8 +128,8 @@ class Engine {
   /// Number of events dispatched so far (for micro-benchmarks / tests).
   std::uint64_t events_dispatched() const { return dispatched_; }
 
-  /// Cancelled events whose heap entry has not been reclaimed yet. Always 0
-  /// after a full run() — tombstones are erased as they are popped.
+  /// Cancelled events whose queue entry has not been reclaimed yet. Always
+  /// 0 after a full run() — tombstones are erased as they are popped.
   std::uint64_t cancelled_backlog() const { return cancelled_backlog_; }
 
   /// Event-pool slots currently holding a live (scheduled, uncancelled,
@@ -128,7 +140,8 @@ class Engine {
 
   /// Scheduled events still in the queue (tombstones excluded).
   std::size_t pending_events() const {
-    return heap_.size() - static_cast<std::size_t>(cancelled_backlog_);
+    return heap_.size() + (lane_.size() - lane_head_) -
+           static_cast<std::size_t>(cancelled_backlog_);
   }
 
   /// Awaitable that resumes the caller after `d` of simulated time.
@@ -147,10 +160,10 @@ class Engine {
   }
 
  private:
-  /// Heap entry: 24 trivially-copyable bytes, so sift operations are plain
-  /// memory moves. `gen` must match the node's generation or the entry is a
-  /// tombstone. Ordering is (when_ns, seq), identical to the historical
-  /// (time, insertion sequence) ordering.
+  /// Queue entry (heap or lane): 24 trivially-copyable bytes, so sift
+  /// operations are plain memory moves. `gen` must match the node's
+  /// generation or the entry is a tombstone. Ordering is (when_ns, seq),
+  /// identical to the historical (time, insertion sequence) ordering.
   struct HeapEntry {
     std::int64_t when_ns;
     std::uint64_t seq;
@@ -159,7 +172,7 @@ class Engine {
   };
 
   /// Pooled event node; generation advances every time the slot is
-  /// released, invalidating outstanding EventIds and heap entries.
+  /// released, invalidating outstanding EventIds and queue entries.
   struct Node {
     Callback fn;
     std::uint32_t gen = 1;
@@ -184,6 +197,10 @@ class Engine {
   // children share a cache line, which measurably speeds up sift-down on
   // the simulator's event mixes.
   std::vector<HeapEntry> heap_;
+  // Same-instant lane: entries at now(), in (when, seq) order, consumed
+  // from lane_head_; emptied (capacity kept) whenever it is used up.
+  std::vector<HeapEntry> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_nodes_;
   std::vector<Task<>> spawned_;

@@ -5,13 +5,19 @@
 // begins executing when its parent co_awaits it (symmetric transfer), and a
 // top-level task begins when Engine::spawn schedules its first resume. The
 // whole cluster therefore runs deterministically on one OS thread.
+//
+// Frames come from the thread-local sim::BlockPool: a simulated message
+// creates and destroys several task frames, and the pool recycles them
+// without a malloc/free pair each.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
+#include "sim/block_pool.hpp"
 #include "util/expect.hpp"
 
 namespace pacc::sim {
@@ -24,6 +30,13 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   bool finished = false;
+
+  static void* operator new(std::size_t bytes) {
+    return BlockPool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    BlockPool::deallocate(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

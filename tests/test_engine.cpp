@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace pacc::sim {
 namespace {
@@ -200,6 +209,228 @@ TEST(Engine, SpawnReclamationKeepsRegistryBounded) {
   e.run();
   EXPECT_EQ(e.active_tasks(), 0u);
   EXPECT_EQ(e.live_event_nodes(), 0u);
+}
+
+// An event scheduled at now() joins the same-instant lane, yet it must still
+// run after every event already queued for this instant from earlier times
+// (those sit in the heap with smaller sequence numbers).
+TEST(Engine, SameInstantLaneRunsAfterEarlierHeapEntriesOfThatInstant) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule(Duration::micros(10), [&] {
+    order.push_back(1);
+    e.schedule(Duration::zero(), [&] { order.push_back(3); });
+  });
+  e.schedule(Duration::micros(10), [&] { order.push_back(2); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// --- differential: heap + same-instant lane vs. a reference queue -------
+
+/// The ordering contract Engine documents, with none of its machinery: a
+/// std::priority_queue on (when, seq) with lazy cancellation. It also
+/// counts which cases a script exercised.
+class ReferenceQueue {
+ public:
+  struct Coverage {
+    int cancelled_same_instant = 0;  ///< pending at now() (Engine's lane)
+    int cancelled_later = 0;         ///< pending after now() (the heap)
+    int cancelled_dead = 0;          ///< already fired or cancelled
+    int stopped_mid_instant = 0;     ///< stop left events at now() queued
+  };
+
+  std::int64_t now() const { return now_; }
+
+  std::uint64_t schedule(std::int64_t delay, std::function<void()> fn) {
+    const std::uint64_t seq = next_seq_++;
+    queue_.push(Entry{now_ + delay, seq});
+    live_.emplace(seq, std::make_pair(now_ + delay, std::move(fn)));
+    return seq;
+  }
+
+  void cancel(std::uint64_t id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) {
+      ++coverage_.cancelled_dead;
+      return;
+    }
+    ++(it->second.first == now_ ? coverage_.cancelled_same_instant
+                                : coverage_.cancelled_later);
+    live_.erase(it);
+    ++backlog_;
+  }
+
+  void request_stop() { stop_ = true; }
+
+  void run_until(std::int64_t deadline) {
+    stop_ = false;
+    while (!queue_.empty() && queue_.top().when <= deadline && !stop_) {
+      const Entry top = queue_.top();
+      queue_.pop();
+      const auto it = live_.find(top.seq);
+      if (it == live_.end()) {
+        --backlog_;
+        continue;
+      }
+      std::function<void()> fn = std::move(it->second.second);
+      live_.erase(it);
+      now_ = top.when;
+      ++dispatched_;
+      fn();
+    }
+    if (stop_ && !queue_.empty() && queue_.top().when == now_) {
+      ++coverage_.stopped_mid_instant;
+    }
+  }
+
+  std::size_t pending_events() const { return queue_.size() - backlog_; }
+  std::uint64_t cancelled_backlog() const { return backlog_; }
+  std::size_t live_event_nodes() const { return live_.size(); }
+  std::uint64_t events_dispatched() const { return dispatched_; }
+  const Coverage& coverage() const { return coverage_; }
+
+ private:
+  struct Entry {
+    std::int64_t when;
+    std::uint64_t seq;
+    bool operator>(const Entry& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::unordered_map<std::uint64_t,
+                     std::pair<std::int64_t, std::function<void()>>>
+      live_;
+  std::int64_t now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t backlog_ = 0;
+  std::uint64_t dispatched_ = 0;
+  bool stop_ = false;
+  Coverage coverage_;
+};
+
+/// Engine behind ReferenceQueue's interface.
+class EngineQueue {
+ public:
+  std::int64_t now() const { return engine_.now().ns(); }
+  EventId schedule(std::int64_t delay, Callback fn) {
+    return engine_.schedule(Duration::nanos(delay), std::move(fn));
+  }
+  void cancel(EventId id) { engine_.cancel(id); }
+  void request_stop() { engine_.request_stop(); }
+  void run_until(std::int64_t deadline) {
+    engine_.run_until(TimePoint{deadline});
+  }
+  std::size_t pending_events() const { return engine_.pending_events(); }
+  std::uint64_t cancelled_backlog() const {
+    return engine_.cancelled_backlog();
+  }
+  std::size_t live_event_nodes() const { return engine_.live_event_nodes(); }
+  std::uint64_t events_dispatched() const {
+    return engine_.events_dispatched();
+  }
+
+ private:
+  Engine engine_;
+};
+
+/// A seeded random schedule, replayed identically on either queue: events
+/// spawn children at zero or small positive delays (so lane and heap
+/// entries share instants), cancel earlier events (queued at now(), queued
+/// later, fired or cancelled) and request stops mid-instant; between runs
+/// the script adds and cancels from outside the loop and runs to horizons
+/// that include now() itself. Every dispatch and every run boundary
+/// records (now, label, pending, backlog, live nodes, dispatched).
+template <typename Queue>
+class Script {
+ public:
+  using Probe = std::array<std::int64_t, 6>;
+  static constexpr std::size_t kMaxEvents = 1500;
+
+  explicit Script(std::uint64_t seed) : seed_(seed) {}
+
+  std::vector<Probe> run() {
+    Rng rng(seed_);
+    for (int i = 0; i < 8; ++i) add(rng);
+    for (int phase = 0; phase < 40; ++phase) {
+      if (rng.next_below(2) == 0) add(rng);
+      if (rng.next_below(3) == 0) cancel_one(rng);
+      const auto horizon = static_cast<std::int64_t>(
+          rng.next_below(4) == 0 ? 0 : rng.next_below(12));
+      queue_.run_until(queue_.now() + horizon);
+      probe(-1);
+    }
+    while (queue_.pending_events() > 0 || queue_.cancelled_backlog() > 0) {
+      queue_.run_until(std::numeric_limits<std::int64_t>::max());
+      probe(-2);
+    }
+    return std::move(trace_);
+  }
+
+  const Queue& queue() const { return queue_; }
+
+ private:
+  void fire(int label) {
+    probe(label);
+    Rng rng(seed_ * 1000003u + static_cast<std::uint64_t>(label));
+    const auto children = rng.next_below(4);
+    for (std::uint64_t c = 0; c < children && ids_.size() < kMaxEvents; ++c) {
+      add(rng);
+    }
+    if (rng.next_below(3) == 0) cancel_one(rng);
+    if (rng.next_below(10) == 0) queue_.request_stop();
+  }
+
+  void add(Rng& rng) {
+    const auto delay = static_cast<std::int64_t>(
+        rng.next_below(2) == 0 ? 0 : rng.next_below(6));
+    const int label = static_cast<int>(ids_.size());
+    ids_.push_back(queue_.schedule(delay, [this, label] { fire(label); }));
+  }
+
+  void cancel_one(Rng& rng) {
+    queue_.cancel(ids_[rng.next_below(ids_.size())]);
+  }
+
+  void probe(int label) {
+    trace_.push_back(Probe{queue_.now(), label,
+                           static_cast<std::int64_t>(queue_.pending_events()),
+                           static_cast<std::int64_t>(queue_.cancelled_backlog()),
+                           static_cast<std::int64_t>(queue_.live_event_nodes()),
+                           static_cast<std::int64_t>(queue_.events_dispatched())});
+  }
+
+  std::uint64_t seed_;
+  Queue queue_;
+  std::vector<std::uint64_t> ids_;
+  std::vector<Probe> trace_;
+};
+
+TEST(EngineDifferential, LaneAndHeapMatchReferenceQueue) {
+  ReferenceQueue::Coverage seen;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Script<EngineQueue> engine(seed);
+    Script<ReferenceQueue> reference(seed);
+    const auto got = engine.run();
+    const auto want = reference.run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", probe " << i;
+    }
+    EXPECT_EQ(engine.queue().cancelled_backlog(), 0u);
+    EXPECT_EQ(engine.queue().live_event_nodes(), 0u);
+    const ReferenceQueue::Coverage& c = reference.queue().coverage();
+    seen.cancelled_same_instant += c.cancelled_same_instant;
+    seen.cancelled_later += c.cancelled_later;
+    seen.cancelled_dead += c.cancelled_dead;
+    seen.stopped_mid_instant += c.stopped_mid_instant;
+  }
+  // The scripts reached every case the lane has to get right.
+  EXPECT_GT(seen.cancelled_same_instant, 0);
+  EXPECT_GT(seen.cancelled_later, 0);
+  EXPECT_GT(seen.cancelled_dead, 0);
+  EXPECT_GT(seen.stopped_mid_instant, 0);
 }
 
 }  // namespace
