@@ -28,14 +28,6 @@ Machine::Machine(sim::Engine& engine, MachineParams params)
   last_flush_ = created_;
 }
 
-Machine::CoreState& Machine::state(const CoreId& core) {
-  return cores_[static_cast<std::size_t>(linear_core(params_.shape, core))];
-}
-
-const Machine::CoreState& Machine::state(const CoreId& core) const {
-  return cores_[static_cast<std::size_t>(linear_core(params_.shape, core))];
-}
-
 void Machine::flush() {
   const TimePoint now = engine_.now();
   const Duration dt = now - last_flush_;
@@ -59,6 +51,8 @@ void Machine::refresh_power(CoreState& cs) {
   cs.power = params_.power.core_power(cs.freq, params_.fmax, cs.tstate,
                                       cs.activity);
   system_power_ += cs.power;
+  cs.freq_slow = params_.fmax.hz() / cs.freq.hz();
+  cs.throttle_slow = 1.0 / ThrottleLevel::activity_factor(cs.tstate);
 }
 
 void Machine::set_frequency(const CoreId& core, Frequency f) {
@@ -215,16 +209,17 @@ Activity Machine::activity(const CoreId& core) const {
 }
 
 double Machine::cpu_slowdown(const CoreId& core) const {
-  return freq_slowdown(core) * throttle_slowdown(core) *
+  const CoreState& cs = state(core);
+  return cs.freq_slow * cs.throttle_slow *
          node_slowdown_[static_cast<std::size_t>(core.node)];
 }
 
 double Machine::freq_slowdown(const CoreId& core) const {
-  return params_.fmax.hz() / state(core).freq.hz();
+  return state(core).freq_slow;
 }
 
 double Machine::throttle_slowdown(const CoreId& core) const {
-  return 1.0 / ThrottleLevel::activity_factor(state(core).tstate);
+  return state(core).throttle_slow;
 }
 
 Watts Machine::node_power(int node) const {

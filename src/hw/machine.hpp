@@ -165,16 +165,23 @@ class Machine {
     int tstate = ThrottleLevel::kMin;
     Activity activity = Activity::kBusy;
     Watts power = 0.0;  ///< cached instantaneous power
+    double freq_slow = 1.0;      ///< cached fmax / freq
+    double throttle_slow = 1.0;  ///< cached 1 / activity_factor(tstate)
     CoreStats stats;
   };
 
-  CoreState& state(const CoreId& core);
-  const CoreState& state(const CoreId& core) const;
+  CoreState& state(const CoreId& core) {
+    return cores_[static_cast<std::size_t>(linear_core(params_.shape, core))];
+  }
+  const CoreState& state(const CoreId& core) const {
+    return cores_[static_cast<std::size_t>(linear_core(params_.shape, core))];
+  }
 
   /// Integrates energy/time stats from last_flush_ to now for all cores.
   void flush();
 
-  /// Recomputes one core's cached power and the system total.
+  /// Recomputes one core's cached power and slowdowns and the system total.
+  /// Every frequency, T-state and activity change goes through here.
   void refresh_power(CoreState& cs);
 
   sim::Engine& engine_;

@@ -64,15 +64,6 @@ bool ClusterShape::valid() const {
   return true;
 }
 
-int linear_core(const ClusterShape& shape, const CoreId& id) {
-  PACC_EXPECTS(id.node >= 0 && id.node < shape.nodes);
-  PACC_EXPECTS(id.socket >= 0 && id.socket < shape.sockets_per_node);
-  PACC_EXPECTS(id.core_in_socket >= 0 &&
-               id.core_in_socket < shape.cores_per_socket);
-  return id.node * shape.cores_per_node() +
-         id.socket * shape.cores_per_socket + id.core_in_socket;
-}
-
 CoreId core_from_linear(const ClusterShape& shape, int linear) {
   PACC_EXPECTS(linear >= 0 && linear < shape.total_cores());
   CoreId id;

@@ -145,8 +145,16 @@ struct CoreId {
   friend bool operator==(const CoreId&, const CoreId&) = default;
 };
 
-/// Flat index of a core in [0, shape.total_cores()).
-int linear_core(const ClusterShape& shape, const CoreId& id);
+/// Flat index of a core in [0, shape.total_cores()). Inline: the machine
+/// model looks a core up several times per simulated message.
+inline int linear_core(const ClusterShape& shape, const CoreId& id) {
+  PACC_EXPECTS(id.node >= 0 && id.node < shape.nodes);
+  PACC_EXPECTS(id.socket >= 0 && id.socket < shape.sockets_per_node);
+  PACC_EXPECTS(id.core_in_socket >= 0 &&
+               id.core_in_socket < shape.cores_per_socket);
+  return id.node * shape.cores_per_node() +
+         id.socket * shape.cores_per_socket + id.core_in_socket;
+}
 
 /// Inverse of linear_core.
 CoreId core_from_linear(const ClusterShape& shape, int linear);

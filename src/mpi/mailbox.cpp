@@ -13,7 +13,7 @@ void Mailbox::deliver(Message msg) {
       p->msg_ = std::move(msg);
       p->got_ = true;
       const auto h = p->handle_;
-      engine_.schedule(Duration::zero(), [h] { h.resume(); });
+      engine_.resume_at(engine_.now(), h);
       return;
     }
   }
@@ -45,7 +45,7 @@ void Mailbox::on_timeout(RecvAwaiter* awaiter) {
   posted_.erase(it);
   awaiter->got_ = false;
   const auto h = awaiter->handle_;
-  engine_.schedule(Duration::zero(), [h] { h.resume(); });
+  engine_.resume_at(engine_.now(), h);
 }
 
 }  // namespace pacc::mpi

@@ -576,7 +576,7 @@ void FlowNetwork::on_complete(std::uint32_t slot, std::uint32_t gen) {
   note_dirty(dead_links, nlinks);
 
   if (waiter) {
-    engine_.schedule(Duration::zero(), [waiter] { waiter.resume(); });
+    engine_.resume_at(engine_.now(), waiter);
   }
   if (on_delivered) {
     engine_.schedule(Duration::zero(), std::move(on_delivered));
@@ -734,7 +734,7 @@ void FlowNetwork::preempt_link_flows(std::int32_t link,
     ++preempted_;
     if (failed != nullptr) *failed = true;
     if (waiter) {
-      engine_.schedule(Duration::zero(), [waiter] { waiter.resume(); });
+      engine_.resume_at(engine_.now(), waiter);
     }
   }
 }

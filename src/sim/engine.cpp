@@ -75,13 +75,9 @@ EventId Engine::schedule_at(TimePoint when, Callback fn) {
   const std::uint32_t slot = alloc_node();
   Node& node = nodes_[slot];
   node.fn = std::move(fn);
-  const HeapEntry entry{when.ns(), next_seq_++, slot, node.gen};
-  if (when == now_) {
-    lane_.push_back(entry);
-  } else {
-    heap_push(entry);
-  }
-  return (static_cast<EventId>(node.gen) << 32) | slot;
+  const EventId id = (static_cast<EventId>(node.gen) << 32) | slot;
+  enqueue(HeapEntry{when.ns(), (next_seq_++ << 1) | kCallback, id});
+  return id;
 }
 
 void Engine::cancel(EventId id) {
@@ -108,7 +104,7 @@ void Engine::spawn(Task<> task) {
   Task<> wrapped = track_completion(std::move(task));
   auto handle = wrapped.h_;
   spawned_.push_back(std::move(wrapped));
-  schedule(Duration::zero(), [handle] { handle.resume(); });
+  resume_at(now_, handle);
 }
 
 /// Wraps a spawned task so the engine can track completion in O(1).
@@ -150,15 +146,24 @@ RunResult Engine::drain(TimePoint deadline, bool stop_when_idle) {
       lane_.clear();
       lane_head_ = 0;
     }
-    Node& node = nodes_[top.slot];
-    if (node.gen != top.gen) {
+    if ((top.seq & 1) == kResume) {
+      now_ = TimePoint{top.when_ns};
+      ++dispatched_;
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(static_cast<std::uintptr_t>(top.payload)))
+          .resume();
+      continue;
+    }
+    const auto slot = static_cast<std::uint32_t>(top.payload & kSlotMask);
+    Node& node = nodes_[slot];
+    if (node.gen != static_cast<std::uint32_t>(top.payload >> 32)) {
       --cancelled_backlog_;  // tombstone of a cancelled event: reclaim
       continue;
     }
     // Move the callback out and release the slot *before* invoking: the
     // callback may schedule new events, growing the node pool.
     Callback fn = std::move(node.fn);
-    release_node(top.slot);
+    release_node(slot);
     now_ = TimePoint{top.when_ns};
     ++dispatched_;
     fn();

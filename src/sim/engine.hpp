@@ -4,22 +4,32 @@
 // program produce byte-identical traces. Coroutine tasks suspend on
 // awaitables (delay, trigger, message arrival) and are resumed by events.
 //
-// The event core is allocation-free in steady state: callbacks use a
-// small-buffer type (sim::Callback), event nodes live in a pooled slab
-// indexed by the priority queue, and cancellation is O(1) via generation
-// counters — a cancelled event's queue entry becomes a lazy tombstone that
-// is reclaimed when it reaches the front. Task frames and oversized
-// callbacks come from the thread-local sim::BlockPool.
+// A queue entry is one of two kinds, marked in the low bit of its stored
+// sequence number:
 //
-// The queue is a 4-ary heap plus a same-instant lane: an event scheduled at
+// - a resume (resume_at / resume_after) carries the coroutine handle in the
+//   entry itself: no event node, no callback, no EventId. It cannot be
+//   cancelled. Nearly nine events in ten are such bare resumes (a delay
+//   elapsing, a flow landing, a message arriving, a barrier releasing).
+// - a callback event (schedule / schedule_at) points at a pooled node that
+//   holds a small-buffer sim::Callback and a generation counter.
+//   Cancellation is O(1): it releases the node, and the queue entry becomes
+//   a lazy tombstone that is reclaimed when it reaches the front.
+//
+// Task frames and oversized callbacks come from the thread-local
+// sim::BlockPool.
+//
+// The queue is a 4-ary heap plus a same-instant lane: an entry scheduled at
 // now() (a coroutine resume, a zero-delay flush, a delivery) is appended to
 // a FIFO instead of sifted through the heap. Lane entries all carry
 // when == now() and increasing sequence numbers, so the lane is sorted by
 // (time, sequence); dispatch takes the smaller of the lane front and the
 // heap top under that same order, so the dispatch order is exactly the one
-// a single heap would give.
+// a single heap would give. The kind bit sits below the sequence number,
+// which is unique, so it never changes that order.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -63,6 +73,20 @@ class Engine {
 
   /// Schedules `fn` at an absolute time (must not be in the past).
   EventId schedule_at(TimePoint when, Callback fn);
+
+  /// Resumes `h` at an absolute time (must not be in the past). The entry
+  /// holds the handle itself; a resume cannot be cancelled.
+  void resume_at(TimePoint when, std::coroutine_handle<> h) {
+    PACC_EXPECTS_MSG(when >= now_, "cannot schedule into the past");
+    enqueue(HeapEntry{when.ns(), (next_seq_++ << 1) | kResume,
+                      reinterpret_cast<std::uintptr_t>(h.address())});
+  }
+
+  /// Resumes `h` `delay` from now; see resume_at.
+  void resume_after(Duration delay, std::coroutine_handle<> h) {
+    PACC_EXPECTS(delay.ns() >= 0);
+    resume_at(now_ + delay, h);
+  }
 
   /// Cancels a pending event in O(1); cancelling an already-fired (or
   /// already-cancelled) event is a no-op and leaves no residue.
@@ -133,12 +157,14 @@ class Engine {
   std::uint64_t cancelled_backlog() const { return cancelled_backlog_; }
 
   /// Event-pool slots currently holding a live (scheduled, uncancelled,
-  /// unfired) callback. Always 0 after a full run().
+  /// unfired) callback. Pending resumes hold no slot and are not counted.
+  /// Always 0 after a full run().
   std::size_t live_event_nodes() const {
     return nodes_.size() - free_nodes_.size();
   }
 
-  /// Scheduled events still in the queue (tombstones excluded).
+  /// Scheduled events still in the queue, callbacks and resumes alike
+  /// (tombstones excluded).
   std::size_t pending_events() const {
     return heap_.size() + (lane_.size() - lane_head_) -
            static_cast<std::size_t>(cancelled_backlog_);
@@ -151,7 +177,7 @@ class Engine {
       Duration d;
       bool await_ready() const noexcept { return d.ns() <= 0; }
       void await_suspend(std::coroutine_handle<> h) {
-        eng.schedule(d, [h] { h.resume(); });
+        eng.resume_after(d, h);
       }
       void await_resume() const noexcept {}
     };
@@ -161,15 +187,19 @@ class Engine {
 
  private:
   /// Queue entry (heap or lane): 24 trivially-copyable bytes, so sift
-  /// operations are plain memory moves. `gen` must match the node's
-  /// generation or the entry is a tombstone. Ordering is (when_ns, seq),
-  /// identical to the historical (time, insertion sequence) ordering.
+  /// operations are plain memory moves. `seq` is the insertion sequence
+  /// number shifted left by one, its low bit the entry's kind. A resume's
+  /// `payload` is the coroutine frame address; a callback event's is
+  /// `gen << 32 | slot`, and `gen` must match the node's generation or the
+  /// entry is a tombstone. Ordering is (when_ns, seq), identical to the
+  /// historical (time, insertion sequence) ordering.
   struct HeapEntry {
     std::int64_t when_ns;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint64_t payload;
   };
+  static constexpr std::uint64_t kCallback = 0;
+  static constexpr std::uint64_t kResume = 1;
 
   /// Pooled event node; generation advances every time the slot is
   /// released, invalidating outstanding EventIds and queue entries.
@@ -185,6 +215,14 @@ class Engine {
 
   void heap_push(HeapEntry e);
   void heap_pop_top();
+
+  void enqueue(const HeapEntry& e) {
+    if (e.when_ns == now_.ns()) {
+      lane_.push_back(e);
+    } else {
+      heap_push(e);
+    }
+  }
 
   std::uint32_t alloc_node();
   void release_node(std::uint32_t slot);

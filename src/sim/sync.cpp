@@ -12,7 +12,7 @@ void Signal::pulse() {
   std::vector<std::coroutine_handle<>> batch;
   batch.swap(waiters_);
   for (auto h : batch) {
-    engine_.schedule(Duration::zero(), [h] { h.resume(); });
+    engine_.resume_at(engine_.now(), h);
   }
 }
 
@@ -22,7 +22,7 @@ void Latch::fire() {
   std::vector<std::coroutine_handle<>> batch;
   batch.swap(waiters_);
   for (auto h : batch) {
-    engine_.schedule(Duration::zero(), [h] { h.resume(); });
+    engine_.resume_at(engine_.now(), h);
   }
 }
 
@@ -37,7 +37,7 @@ bool Barrier::arrive(std::coroutine_handle<> h) {
     std::vector<std::coroutine_handle<>> batch;
     batch.swap(waiting_);
     for (auto w : batch) {
-      engine_.schedule(Duration::zero(), [w] { w.resume(); });
+      engine_.resume_at(engine_.now(), w);
     }
     return false;  // last arriver continues without suspending
   }

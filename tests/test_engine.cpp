@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +19,27 @@
 
 namespace pacc::sim {
 namespace {
+
+/// A coroutine that starts suspended, runs its function once when resumed
+/// and then frees its own frame: a bare handle for Engine::resume_at. A
+/// OneShot that is never resumed leaks its frame.
+struct OneShot {
+  struct promise_type {
+    OneShot get_return_object() {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+  std::coroutine_handle<> handle;
+};
+
+OneShot one_shot(std::function<void()> fn) {
+  fn();
+  co_return;
+}
 
 TEST(Engine, StartsAtOrigin) {
   Engine e;
@@ -226,18 +251,86 @@ TEST(Engine, SameInstantLaneRunsAfterEarlierHeapEntriesOfThatInstant) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// A resume entry is a pending event (Simulation::run tells a timeout from a
+// deadlock by it) and a dispatched one, but it holds no event node.
+TEST(Engine, PendingResumeCountsAsAnEventButHoldsNoNode) {
+  Engine e;
+  int ran = 0;
+  e.resume_after(Duration::micros(3), one_shot([&] { ++ran; }).handle);
+  e.resume_at(e.now(), one_shot([&] { ++ran; }).handle);
+  EXPECT_EQ(e.pending_events(), 2u);
+  EXPECT_EQ(e.live_event_nodes(), 0u);
+  e.run_until(e.now());
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(e.events_dispatched(), 1u);
+  EXPECT_EQ(e.pending_events(), 1u);
+  EXPECT_EQ(e.live_event_nodes(), 0u);
+  e.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(e.events_dispatched(), 2u);
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_EQ(e.cancelled_backlog(), 0u);
+  EXPECT_EQ(e.now().ns(), 3000);
+}
+
+// Every bare resume of a task (its first resume from spawn, a delay
+// elapsing) rides in a queue entry: the event pool is never touched.
+TEST(Engine, TaskResumesUseNoEventNodes) {
+  Engine e;
+  std::size_t peak_nodes = 0;
+  auto sleeper = [&](Engine& eng) -> Task<> {
+    for (int i = 0; i < 4; ++i) {
+      co_await eng.delay(Duration::micros(i));
+      peak_nodes = std::max(peak_nodes, eng.live_event_nodes());
+    }
+  };
+  e.spawn(sleeper(e));
+  EXPECT_EQ(e.pending_events(), 1u);
+  EXPECT_EQ(e.live_event_nodes(), 0u);
+  const RunResult r = e.run();
+  EXPECT_TRUE(r.all_tasks_finished);
+  EXPECT_EQ(peak_nodes, 0u);
+  EXPECT_EQ(e.events_dispatched(), 4u);  // spawn + three positive delays
+  EXPECT_EQ(e.now().ns(), 6000);
+}
+
+// Resumes and callbacks share one (time, sequence) order, in the heap and
+// in the same-instant lane alike.
+TEST(Engine, ResumesAndCallbacksAtOneInstantRunInSchedulingOrder) {
+  Engine e;
+  std::vector<int> order;
+  auto note = [&](int v) { return [&order, v] { order.push_back(v); }; };
+  e.schedule(Duration::micros(5), [&] {
+    order.push_back(0);
+    e.resume_at(e.now(), one_shot(note(4)).handle);
+    e.schedule(Duration::zero(), note(5));
+    e.resume_after(Duration::zero(), one_shot(note(6)).handle);
+  });
+  e.resume_after(Duration::micros(5), one_shot(note(1)).handle);
+  e.schedule(Duration::micros(5), note(2));
+  e.resume_at(TimePoint{} + Duration::micros(5), one_shot(note(3)).handle);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(e.events_dispatched(), 7u);
+}
+
 // --- differential: heap + same-instant lane vs. a reference queue -------
 
 /// The ordering contract Engine documents, with none of its machinery: a
-/// std::priority_queue on (when, seq) with lazy cancellation. It also
-/// counts which cases a script exercised.
+/// std::priority_queue on (when, seq) with lazy cancellation; a resume is
+/// an uncancellable entry that holds no node. It also counts which cases a
+/// script exercised.
 class ReferenceQueue {
  public:
   struct Coverage {
     int cancelled_same_instant = 0;  ///< pending at now() (Engine's lane)
     int cancelled_later = 0;         ///< pending after now() (the heap)
     int cancelled_dead = 0;          ///< already fired or cancelled
+    int cancelled_beside_resume = 0; ///< a resume was pending at the time
     int stopped_mid_instant = 0;     ///< stop left events at now() queued
+    int stopped_before_resume = 0;   ///< ...and one of them was a resume
+    int resumed_same_instant = 0;    ///< resume queued at now() ran
+    int resumed_later = 0;           ///< resume queued after now() ran
   };
 
   std::int64_t now() const { return now_; }
@@ -249,6 +342,12 @@ class ReferenceQueue {
     return seq;
   }
 
+  void resume_after(std::int64_t delay, std::function<void()> fn) {
+    const std::uint64_t seq = next_seq_++;
+    queue_.push(Entry{now_ + delay, seq});
+    resumes_.emplace(seq, Resume{now_, std::move(fn)});
+  }
+
   void cancel(std::uint64_t id) {
     const auto it = live_.find(id);
     if (it == live_.end()) {
@@ -257,6 +356,7 @@ class ReferenceQueue {
     }
     ++(it->second.first == now_ ? coverage_.cancelled_same_instant
                                 : coverage_.cancelled_later);
+    if (!resumes_.empty()) ++coverage_.cancelled_beside_resume;
     live_.erase(it);
     ++backlog_;
   }
@@ -268,6 +368,16 @@ class ReferenceQueue {
     while (!queue_.empty() && queue_.top().when <= deadline && !stop_) {
       const Entry top = queue_.top();
       queue_.pop();
+      if (const auto r = resumes_.find(top.seq); r != resumes_.end()) {
+        const Resume resume = std::move(r->second);
+        resumes_.erase(r);
+        ++(top.when == resume.queued_at ? coverage_.resumed_same_instant
+                                        : coverage_.resumed_later);
+        now_ = top.when;
+        ++dispatched_;
+        resume.fn();
+        continue;
+      }
       const auto it = live_.find(top.seq);
       if (it == live_.end()) {
         --backlog_;
@@ -281,6 +391,9 @@ class ReferenceQueue {
     }
     if (stop_ && !queue_.empty() && queue_.top().when == now_) {
       ++coverage_.stopped_mid_instant;
+      if (resumes_.count(queue_.top().seq) != 0) {
+        ++coverage_.stopped_before_resume;
+      }
     }
   }
 
@@ -298,10 +411,15 @@ class ReferenceQueue {
       return when != o.when ? when > o.when : seq > o.seq;
     }
   };
+  struct Resume {
+    std::int64_t queued_at;
+    std::function<void()> fn;
+  };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
   std::unordered_map<std::uint64_t,
                      std::pair<std::int64_t, std::function<void()>>>
       live_;
+  std::unordered_map<std::uint64_t, Resume> resumes_;
   std::int64_t now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t backlog_ = 0;
@@ -316,6 +434,10 @@ class EngineQueue {
   std::int64_t now() const { return engine_.now().ns(); }
   EventId schedule(std::int64_t delay, Callback fn) {
     return engine_.schedule(Duration::nanos(delay), std::move(fn));
+  }
+  void resume_after(std::int64_t delay, std::function<void()> fn) {
+    engine_.resume_after(Duration::nanos(delay),
+                         one_shot(std::move(fn)).handle);
   }
   void cancel(EventId id) { engine_.cancel(id); }
   void request_stop() { engine_.request_stop(); }
@@ -336,9 +458,10 @@ class EngineQueue {
 };
 
 /// A seeded random schedule, replayed identically on either queue: events
-/// spawn children at zero or small positive delays (so lane and heap
-/// entries share instants), cancel earlier events (queued at now(), queued
-/// later, fired or cancelled) and request stops mid-instant; between runs
+/// spawn children — callback events and resumes — at zero or small positive
+/// delays (so lane and heap entries of both kinds share instants), cancel
+/// earlier callback events (queued at now(), queued later, fired or
+/// cancelled) and request stops mid-instant; between runs
 /// the script adds and cancels from outside the loop and runs to horizons
 /// that include now() itself. Every dispatch and every run boundary
 /// records (now, label, pending, backlog, live nodes, dispatched).
@@ -375,7 +498,8 @@ class Script {
     probe(label);
     Rng rng(seed_ * 1000003u + static_cast<std::uint64_t>(label));
     const auto children = rng.next_below(4);
-    for (std::uint64_t c = 0; c < children && ids_.size() < kMaxEvents; ++c) {
+    for (std::uint64_t c = 0; c < children && next_label_ < kMaxEvents;
+         ++c) {
       add(rng);
     }
     if (rng.next_below(3) == 0) cancel_one(rng);
@@ -385,11 +509,16 @@ class Script {
   void add(Rng& rng) {
     const auto delay = static_cast<std::int64_t>(
         rng.next_below(2) == 0 ? 0 : rng.next_below(6));
-    const int label = static_cast<int>(ids_.size());
-    ids_.push_back(queue_.schedule(delay, [this, label] { fire(label); }));
+    const int label = static_cast<int>(next_label_++);
+    if (rng.next_below(2) == 0) {
+      queue_.resume_after(delay, [this, label] { fire(label); });
+    } else {
+      ids_.push_back(queue_.schedule(delay, [this, label] { fire(label); }));
+    }
   }
 
   void cancel_one(Rng& rng) {
+    if (ids_.empty()) return;
     queue_.cancel(ids_[rng.next_below(ids_.size())]);
   }
 
@@ -403,7 +532,8 @@ class Script {
 
   std::uint64_t seed_;
   Queue queue_;
-  std::vector<std::uint64_t> ids_;
+  std::size_t next_label_ = 0;
+  std::vector<std::uint64_t> ids_;  ///< callback events, for cancel_one
   std::vector<Probe> trace_;
 };
 
@@ -424,13 +554,22 @@ TEST(EngineDifferential, LaneAndHeapMatchReferenceQueue) {
     seen.cancelled_same_instant += c.cancelled_same_instant;
     seen.cancelled_later += c.cancelled_later;
     seen.cancelled_dead += c.cancelled_dead;
+    seen.cancelled_beside_resume += c.cancelled_beside_resume;
     seen.stopped_mid_instant += c.stopped_mid_instant;
+    seen.stopped_before_resume += c.stopped_before_resume;
+    seen.resumed_same_instant += c.resumed_same_instant;
+    seen.resumed_later += c.resumed_later;
   }
-  // The scripts reached every case the lane has to get right.
+  // The scripts reached every case the lane and the two entry kinds have
+  // to get right.
   EXPECT_GT(seen.cancelled_same_instant, 0);
   EXPECT_GT(seen.cancelled_later, 0);
   EXPECT_GT(seen.cancelled_dead, 0);
+  EXPECT_GT(seen.cancelled_beside_resume, 0);
   EXPECT_GT(seen.stopped_mid_instant, 0);
+  EXPECT_GT(seen.stopped_before_resume, 0);
+  EXPECT_GT(seen.resumed_same_instant, 0);
+  EXPECT_GT(seen.resumed_later, 0);
 }
 
 }  // namespace

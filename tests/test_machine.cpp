@@ -191,5 +191,75 @@ TEST_F(MachineTest, CoreStatsTrackBusyIdleThrottled) {
   EXPECT_GT(stats.energy, 0.0);
 }
 
+// The machine caches each core's fmax/f and 1/c_t; every read must equal
+// the uncached formulas bit for bit, in the product order freq · throttle ·
+// node, whatever path last changed the core.
+class SlowdownCacheTest : public MachineTest {
+ protected:
+  void expect_formulas(const CoreId& c) {
+    const MachineParams& p = machine_.params();
+    const double freq = p.fmax.hz() / machine_.frequency(c).hz();
+    const double throttle =
+        1.0 / ThrottleLevel::activity_factor(machine_.throttle(c));
+    EXPECT_EQ(machine_.freq_slowdown(c), freq);
+    EXPECT_EQ(machine_.throttle_slowdown(c), throttle);
+    EXPECT_EQ(machine_.cpu_slowdown(c),
+              freq * throttle * machine_.node_slowdown(c.node));
+  }
+
+  void expect_all() {
+    for (int node = 0; node < 2; ++node) {
+      for (int socket = 0; socket < 2; ++socket) {
+        for (int k = 0; k < 4; ++k) expect_formulas(CoreId{node, socket, k});
+      }
+    }
+  }
+};
+
+TEST_F(SlowdownCacheTest, InitialStateMatchesFormulas) { expect_all(); }
+
+TEST_F(SlowdownCacheTest, FrequencyChangesMatchFormulas) {
+  const CoreId c{1, 0, 3};
+  const MachineParams& p = machine_.params();
+  for (const Frequency f :
+       {p.fmin, Frequency::ghz(1.7), Frequency::ghz(2.0), Frequency::ghz(2.3),
+        p.fmax, p.fmin}) {
+    machine_.set_frequency(c, f);
+    expect_all();
+  }
+  EXPECT_EQ(machine_.freq_slowdown(c), p.fmax.hz() / p.fmin.hz());
+}
+
+TEST_F(SlowdownCacheTest, ThrottleChangesMatchFormulas) {
+  const CoreId c{0, 1, 2};
+  for (int t = ThrottleLevel::kMin; t <= ThrottleLevel::kMax; ++t) {
+    machine_.set_core_throttle(c, t);
+    expect_all();
+    machine_.set_socket_throttle(1, 0, ThrottleLevel::kMax - t);
+    expect_all();
+  }
+  EXPECT_EQ(machine_.throttle_slowdown(c), 1.0 / 0.125);  // T7
+  machine_.set_core_throttle(c, ThrottleLevel::kMin);
+  EXPECT_EQ(machine_.throttle_slowdown(c), 1.0);
+}
+
+TEST_F(SlowdownCacheTest, CornersAndNodeSlowdownMatchFormulas) {
+  const MachineParams& p = machine_.params();
+  const CoreId c{1, 1, 0};
+  machine_.set_node_slowdown(1, 1.37);
+  expect_all();
+  machine_.set_frequency(c, p.fmin);
+  machine_.set_core_throttle(c, ThrottleLevel::kMax);
+  expect_all();  // fmin at T7 on a straggler node
+  machine_.set_node_slowdown(1, 3.0);
+  machine_.set_activity(c, Activity::kIdle);
+  expect_all();
+  machine_.set_frequency(c, p.fmax);
+  machine_.set_socket_throttle(1, 1, ThrottleLevel::kMin);
+  machine_.set_node_slowdown(1, 1.0);
+  expect_all();
+  EXPECT_EQ(machine_.cpu_slowdown(c), 1.0);
+}
+
 }  // namespace
 }  // namespace pacc::hw
