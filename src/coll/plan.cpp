@@ -126,7 +126,7 @@ void build_bcast_binomial(const mpi::Comm& comm, int root, CollPlan& plan) {
 bool power_exchange_is_xor(const mpi::Comm& comm) {
   const auto& shape = comm.runtime().placement().shape;
   const int N = static_cast<int>(comm.nodes().size());
-  return (shape.has_fabric() || shape.dragonfly.enabled()) && is_pow2(N) &&
+  return shape.translation_group_nodes() > 0 && is_pow2(N) &&
          comm.uniform_ppn() &&
          is_pow2(static_cast<int>(
              comm.members_on_node(comm.nodes().front()).size()));
@@ -137,11 +137,8 @@ bool power_exchange_is_xor(const mpi::Comm& comm) {
 /// switch. XOR distances that are multiples of this count pair nodes that
 /// are translation images of each other (the merged §V phase-4 rounds).
 int top_group_nodes(const hw::ClusterShape& shape, int comm_nodes) {
-  if (shape.dragonfly.enabled()) return shape.df_nodes_per_group();
-  if (shape.has_fabric()) {
-    return shape.fabric_nodes_per_group(shape.fabric_levels() - 1);
-  }
-  return comm_nodes;
+  const int group_nodes = shape.translation_group_nodes();
+  return group_nodes > 0 ? group_nodes : comm_nodes;
 }
 
 /// Whether comm ranks decompose as rank = node_index * ppn + local_index

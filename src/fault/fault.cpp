@@ -219,25 +219,20 @@ void FaultInjector::arm() {
   }
 
   if (spec_.flap_rate_hz > 0.0) {
-    const auto& shape = machine_.shape();
-    const bool rack_layer =
-        shape.has_racks() && network_.params().rack_bandwidth > 0.0;
-    // Flappable fabric units, in id order: every node's HCA, then the rack
-    // aggregation links (legacy shapes), then — on dragonfly shapes — every
-    // router's local link pair and every group's global link pair.
-    flap_units_ = shape.nodes + (rack_layer ? shape.racks() : 0) +
-                  (shape.has_dragonfly()
-                       ? shape.df_routers_total() + shape.df_groups()
-                       : 0);
-    flap_event_.assign(static_cast<std::size_t>(flap_units_), 0);
-    flap_count_.assign(static_cast<std::size_t>(flap_units_), 0);
+    // Every fault unit of the network flaps: each node's HCA, then every
+    // switch level's groups (see net::FlowNetwork::fault_unit).
+    const int units = network_.fault_units();
+    flap_event_.assign(static_cast<std::size_t>(units), 0);
+    flap_count_.assign(static_cast<std::size_t>(units), 0);
     if (auto* tr = engine_.tracer()) {
-      for (int u = 0; u < flap_units_; ++u) {
+      for (int u = 0; u < units; ++u) {
+        const net::FaultUnit info = network_.fault_unit(u);
         tr->set_track_name(obs::TrackId{kFabricTrackPid, u},
-                           unit_label(u) + " " + std::to_string(unit_index(u)));
+                           std::string(info.label) + " " +
+                               std::to_string(info.index));
       }
     }
-    for (int u = 0; u < flap_units_; ++u) schedule_flap(u);
+    for (int u = 0; u < units; ++u) schedule_flap(u);
   }
 }
 
@@ -319,7 +314,7 @@ void FaultInjector::begin_outage(int unit) {
   flap_event_[u] = 0;
   ++stats_.link_flaps;
   const TimePoint began = engine_.now();
-  apply_unit_efficiency(unit, spec_.degrade_factor);
+  network_.set_unit_efficiency(unit, spec_.degrade_factor);
   const std::uint32_t n = flap_count_[u]++;
   // Bounded outage: [0.5, 1.5] × the configured mean.
   const double frac =
@@ -333,54 +328,13 @@ void FaultInjector::begin_outage(int unit) {
 void FaultInjector::end_outage(int unit, TimePoint began) {
   const auto u = static_cast<std::size_t>(unit);
   flap_event_[u] = 0;
-  apply_unit_efficiency(unit, 1.0);
+  network_.set_unit_efficiency(unit, 1.0);
   if (auto* tr = engine_.tracer()) {
-    tr->complete_span(obs::TrackId{kFabricTrackPid, unit}, unit_span(unit),
-                      "fault", began, {{"unit", unit_index(unit)}});
+    const net::FaultUnit info = network_.fault_unit(unit);
+    tr->complete_span(obs::TrackId{kFabricTrackPid, unit}, info.span, "fault",
+                      began, {{"unit", info.index}});
   }
   schedule_flap(unit);
-}
-
-std::string FaultInjector::unit_label(int unit) const {
-  const auto& shape = machine_.shape();
-  int u = unit - shape.nodes;
-  if (u < 0) return "hca node";
-  if (!shape.has_dragonfly()) return "rack link";
-  if (u < shape.df_routers_total()) return "df router";
-  return "df global";
-}
-
-const char* FaultInjector::unit_span(int unit) const {
-  const auto& shape = machine_.shape();
-  int u = unit - shape.nodes;
-  if (u < 0) return "hca_down";
-  if (!shape.has_dragonfly()) return "rack_down";
-  if (u < shape.df_routers_total()) return "df_router_down";
-  return "df_global_down";
-}
-
-int FaultInjector::unit_index(int unit) const {
-  const auto& shape = machine_.shape();
-  int u = unit - shape.nodes;
-  if (u < 0) return unit;
-  if (!shape.has_dragonfly()) return u;
-  if (u < shape.df_routers_total()) return u;
-  return u - shape.df_routers_total();
-}
-
-void FaultInjector::apply_unit_efficiency(int unit, double efficiency) {
-  const auto& shape = machine_.shape();
-  const int u = unit - shape.nodes;
-  if (u < 0) {
-    network_.set_hca_efficiency(unit, efficiency);
-  } else if (!shape.has_dragonfly()) {
-    network_.set_rack_efficiency(u, efficiency);
-  } else if (u < shape.df_routers_total()) {
-    network_.set_dragonfly_router_efficiency(u, efficiency);
-  } else {
-    network_.set_dragonfly_global_efficiency(u - shape.df_routers_total(),
-                                             efficiency);
-  }
 }
 
 }  // namespace pacc::fault

@@ -1,7 +1,7 @@
 // Deterministic, seeded fault injection for the whole simulated cluster.
 //
 // A FaultSpec describes what can go wrong — dropped or delayed inter-node
-// messages, HCA/rack links that flap down for bounded intervals, straggler
+// messages, HCA/switch links that flap down for bounded intervals, straggler
 // nodes, P/T-state transitions that fail or stretch — plus the recovery
 // parameters (ack timeout, exponential backoff, retry budget) the runtime's
 // IB-RC-style retransmit layer uses to survive it. A FaultInjector owns the
@@ -43,7 +43,7 @@ struct FaultSpec {
   Duration delay_max = Duration::micros(50.0);  ///< extra latency ∈ (0, max]
 
   // --- link faults ---
-  double flap_rate_hz = 0.0;  ///< mean outages/second per HCA or rack unit
+  double flap_rate_hz = 0.0;  ///< mean outages/second per fault unit
   Duration down_mean = Duration::micros(200.0);  ///< outage ∈ [0.5, 1.5]×mean
   double degrade_factor = 0.0;  ///< outage efficiency: 0 = hard down
 
@@ -171,12 +171,6 @@ class FaultInjector {
   void schedule_flap(int unit);
   void begin_outage(int unit);
   void end_outage(int unit, TimePoint began);
-  void apply_unit_efficiency(int unit, double efficiency);
-  /// Flap-unit decomposition (HCA / rack link / dragonfly router /
-  /// dragonfly global link): trace label, outage span name, local index.
-  std::string unit_label(int unit) const;
-  const char* unit_span(int unit) const;
-  int unit_index(int unit) const;
   double u01(std::uint64_t category, std::uint64_t entity,
              std::uint64_t draw) const;
 
@@ -186,7 +180,6 @@ class FaultInjector {
   net::FlowNetwork& network_;
   FaultStats stats_;
 
-  int flap_units_ = 0;  ///< nodes + racks with flappable links
   std::vector<sim::EventId> flap_event_;    ///< pending timer per unit
   std::vector<std::uint32_t> flap_count_;   ///< draw index per unit
   std::unordered_map<std::uint64_t, std::uint32_t> pair_counter_;

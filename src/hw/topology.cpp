@@ -2,36 +2,14 @@
 
 namespace pacc::hw {
 
-int ClusterShape::fabric_nodes_per_group(int level) const {
-  PACC_EXPECTS(level >= 0 && level < fabric_levels());
-  int per_group = 1;
-  for (int l = 0; l <= level; ++l) {
-    per_group *= fabric[static_cast<std::size_t>(l)].group_size;
+int ClusterShape::translation_group_nodes() const {
+  if (dragonfly.enabled()) {
+    return dragonfly.routers_per_group * dragonfly.nodes_per_router;
   }
+  if (fabric.empty()) return 0;
+  int per_group = 1;
+  for (const FabricLevelSpec& level : fabric) per_group *= level.group_size;
   return per_group;
-}
-
-double ClusterShape::fabric_link_bandwidth(int level,
-                                           double node_link_bandwidth) const {
-  const auto& spec = fabric[static_cast<std::size_t>(level)];
-  if (spec.bandwidth > 0.0) return spec.bandwidth;
-  // Full bisection at this level would carry every child node's HCA
-  // bandwidth; the oversubscription ratio thins that out.
-  return node_link_bandwidth * fabric_nodes_per_group(level) /
-         spec.oversubscription;
-}
-
-double ClusterShape::df_local_bandwidth(double node_link_bandwidth) const {
-  if (dragonfly.local_bandwidth > 0.0) return dragonfly.local_bandwidth;
-  // A router's local links carry its hosted nodes' aggregate HCA bandwidth
-  // into the group's all-to-all mesh.
-  return node_link_bandwidth * dragonfly.nodes_per_router;
-}
-
-double ClusterShape::df_global_bandwidth(double node_link_bandwidth) const {
-  if (dragonfly.global_bandwidth > 0.0) return dragonfly.global_bandwidth;
-  // The group's global link carries the whole group's aggregate.
-  return node_link_bandwidth * df_nodes_per_group();
 }
 
 bool ClusterShape::valid() const {
@@ -46,7 +24,7 @@ bool ClusterShape::valid() const {
         dragonfly.local_bandwidth < 0.0 || dragonfly.global_bandwidth < 0.0) {
       return false;
     }
-    const int per_group = df_nodes_per_group();
+    const int per_group = translation_group_nodes();
     if (per_group > nodes || nodes % per_group != 0) return false;
     return true;
   }

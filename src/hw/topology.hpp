@@ -87,6 +87,10 @@ struct ClusterShape {
   /// routers_per_group * nodes_per_router must divide `nodes` evenly.
   DragonflySpec dragonfly{};
 
+  // These three fields are input only: net::FlowNetwork turns whichever is
+  // set into one table of switch levels (see net::Level), and every
+  // routing, bandwidth and fault-unit question is asked of that table.
+
   int cores_per_node() const { return sockets_per_node * cores_per_socket; }
   int total_cores() const { return nodes * cores_per_node(); }
   int sockets_total() const { return nodes * sockets_per_node; }
@@ -99,39 +103,12 @@ struct ClusterShape {
     return has_racks() ? node / nodes_per_rack : 0;
   }
 
-  bool has_fabric() const { return !fabric.empty(); }
-  int fabric_levels() const { return static_cast<int>(fabric.size()); }
-  /// Nodes per group at fabric level ℓ (cumulative product of group sizes).
-  int fabric_nodes_per_group(int level) const;
-  /// Number of level-ℓ groups.
-  int fabric_groups(int level) const {
-    return nodes / fabric_nodes_per_group(level);
-  }
-  /// Which level-ℓ group `node` belongs to.
-  int fabric_group_of(int node, int level) const {
-    return node / fabric_nodes_per_group(level);
-  }
-  /// Derived (or explicit) per-direction aggregation-link bandwidth of one
-  /// level-ℓ group, given the per-node HCA link bandwidth.
-  double fabric_link_bandwidth(int level, double node_link_bandwidth) const;
-
-  bool has_dragonfly() const { return dragonfly.enabled(); }
-  int df_nodes_per_group() const {
-    return dragonfly.routers_per_group * dragonfly.nodes_per_router;
-  }
-  int df_groups() const { return nodes / df_nodes_per_group(); }
-  int df_routers_total() const {
-    return df_groups() * dragonfly.routers_per_group;
-  }
-  /// Global router index of `node` (routers numbered group-major).
-  int df_router_of(int node) const {
-    return node / dragonfly.nodes_per_router;
-  }
-  int df_group_of(int node) const { return node / df_nodes_per_group(); }
-  /// Derived (or explicit) per-direction bandwidth of one router's local
-  /// links / one group's global link, given the node HCA bandwidth.
-  double df_local_bandwidth(double node_link_bandwidth) const;
-  double df_global_bandwidth(double node_link_bandwidth) const;
+  /// Nodes per top-level translation group: one outermost fat-tree group
+  /// or one dragonfly group. Such groups are interchangeable, so the
+  /// rank-symmetry collapse quotients by them and the XOR §V schedule pairs
+  /// them. 0 on a flat switch and on the rack layer, which have no such
+  /// groups.
+  int translation_group_nodes() const;
 
   bool valid() const;
 };

@@ -186,7 +186,7 @@ std::uint64_t Comm::structure_fingerprint() const {
   // Dragonfly structure and routing mode; mixed only when enabled (behind
   // a marker) so every pre-dragonfly fingerprint — and the plan-cache /
   // tuned-table baselines keyed on them — is unchanged.
-  if (placement.shape.has_dragonfly()) {
+  if (placement.shape.dragonfly.enabled()) {
     const hw::DragonflySpec& df = placement.shape.dragonfly;
     mix(0xd7a60f1eull);  // dragonfly marker
     mix(static_cast<std::uint64_t>(df.routers_per_group));

@@ -18,60 +18,79 @@ FlowNetwork::FlowNetwork(sim::Engine& engine, hw::ClusterShape shape,
     : engine_(engine), shape_(shape), params_(params) {
   PACC_EXPECTS(shape_.valid());
   PACC_EXPECTS(params_.link_bandwidth > 0.0 && params_.shm_bandwidth > 0.0);
-  PACC_EXPECTS_MSG(shape_.fabric_levels() <= kMaxFabricLevels,
+  PACC_EXPECTS_MSG(shape_.fabric.size() <= kMaxLevels,
                    "at most three fat-tree fabric levels are supported");
-  std::size_t link_count =
-      static_cast<std::size_t>(3 * shape_.nodes + 2 * shape_.racks());
-  fabric_link_base_.reserve(static_cast<std::size_t>(shape_.fabric_levels()));
-  for (int level = 0; level < shape_.fabric_levels(); ++level) {
-    fabric_link_base_.push_back(static_cast<int>(link_count));
-    link_count += static_cast<std::size_t>(2 * shape_.fabric_groups(level));
+  PACC_EXPECTS_MSG(!shape_.has_racks() || params_.rack_bandwidth > 0.0,
+                   "a racked shape needs rack_bandwidth > 0");
+
+  // The level table: whichever of racks, fat tree or dragonfly the shape
+  // sets becomes a stack of levels whose links follow the HCA and
+  // shared-memory ids, level by level.
+  const int nodes = shape_.nodes;
+  const double node_bw = params_.link_bandwidth;
+  int next_link = 3 * nodes;
+  fault_units_ = nodes;
+  auto add_level = [&](int nodes_per_group, double bandwidth,
+                       const char* label, const char* span) {
+    Level level;
+    level.nodes_per_group = nodes_per_group;
+    level.groups = (nodes + nodes_per_group - 1) / nodes_per_group;
+    level.bandwidth = bandwidth;
+    level.first_link = next_link;
+    level.unit_label = label;
+    level.unit_span = span;
+    next_link += 2 * level.groups;
+    fault_units_ += level.groups;
+    levels_.push_back(level);
+  };
+  if (shape_.has_racks()) {
+    add_level(shape_.nodes_per_rack, params_.rack_bandwidth, "rack link",
+              "rack_down");
   }
-  df_link_base_ = static_cast<int>(link_count);
-  if (shape_.has_dragonfly()) {
-    link_count += static_cast<std::size_t>(2 * shape_.df_routers_total() +
-                                           2 * shape_.df_groups());
+  static constexpr const char* kFatTreeLabel[kMaxLevels] = {
+      "fabric l0 link", "fabric l1 link", "fabric l2 link"};
+  static constexpr const char* kFatTreeSpan[kMaxLevels] = {
+      "fabric_l0_down", "fabric_l1_down", "fabric_l2_down"};
+  int per_group = 1;
+  for (std::size_t l = 0; l < shape_.fabric.size(); ++l) {
+    const hw::FabricLevelSpec& spec = shape_.fabric[l];
+    per_group *= spec.group_size;
+    // Full bisection at this level would carry every child node's HCA
+    // bandwidth; the oversubscription ratio thins that out.
+    add_level(per_group,
+              spec.bandwidth > 0.0
+                  ? spec.bandwidth
+                  : node_bw * per_group / spec.oversubscription,
+              kFatTreeLabel[l], kFatTreeSpan[l]);
   }
+  if (const hw::DragonflySpec& df = shape_.dragonfly; df.enabled()) {
+    // A router's local links carry its hosted nodes' aggregate HCA
+    // bandwidth into the group's all-to-all mesh; the group's global link
+    // carries the whole group's.
+    add_level(df.nodes_per_router,
+              df.local_bandwidth > 0.0 ? df.local_bandwidth
+                                       : node_bw * df.nodes_per_router,
+              "df router", "df_router_down");
+    add_level(shape_.translation_group_nodes(),
+              df.global_bandwidth > 0.0
+                  ? df.global_bandwidth
+                  : node_bw * shape_.translation_group_nodes(),
+              "df global", "df_global_down");
+    nested_routes_ = true;
+    valiant_ = df.adaptive;
+  }
+
+  const auto link_count = static_cast<std::size_t>(next_link);
   link_bandwidth_.assign(link_count, 0.0);
-  for (int n = 0; n < shape_.nodes; ++n) {
-    link_bandwidth_[static_cast<std::size_t>(uplink(n))] =
-        params_.link_bandwidth;
-    link_bandwidth_[static_cast<std::size_t>(downlink(n))] =
-        params_.link_bandwidth;
+  for (int n = 0; n < nodes; ++n) {
+    link_bandwidth_[static_cast<std::size_t>(uplink(n))] = node_bw;
+    link_bandwidth_[static_cast<std::size_t>(downlink(n))] = node_bw;
     link_bandwidth_[static_cast<std::size_t>(shm_link(n))] =
         params_.shm_bandwidth;
   }
-  for (int r = 0; r < shape_.racks(); ++r) {
-    const double bw =
-        rack_layer_enabled() ? params_.rack_bandwidth : params_.link_bandwidth;
-    link_bandwidth_[static_cast<std::size_t>(rack_uplink(r))] = bw;
-    link_bandwidth_[static_cast<std::size_t>(rack_downlink(r))] = bw;
-  }
-  for (int level = 0; level < shape_.fabric_levels(); ++level) {
-    const double bw =
-        shape_.fabric_link_bandwidth(level, params_.link_bandwidth);
-    for (int g = 0; g < shape_.fabric_groups(level); ++g) {
-      link_bandwidth_[static_cast<std::size_t>(fabric_uplink(level, g))] = bw;
-      link_bandwidth_[static_cast<std::size_t>(fabric_downlink(level, g))] =
-          bw;
-    }
-  }
-  if (shape_.has_dragonfly()) {
-    const double local_bw = shape_.df_local_bandwidth(params_.link_bandwidth);
-    const double global_bw =
-        shape_.df_global_bandwidth(params_.link_bandwidth);
-    for (int r = 0; r < shape_.df_routers_total(); ++r) {
-      link_bandwidth_[static_cast<std::size_t>(df_router_uplink(r))] =
-          local_bw;
-      link_bandwidth_[static_cast<std::size_t>(df_router_downlink(r))] =
-          local_bw;
-    }
-    for (int g = 0; g < shape_.df_groups(); ++g) {
-      link_bandwidth_[static_cast<std::size_t>(df_global_uplink(g))] =
-          global_bw;
-      link_bandwidth_[static_cast<std::size_t>(df_global_downlink(g))] =
-          global_bw;
-    }
+  for (const Level& level : levels_) {
+    std::fill_n(link_bandwidth_.begin() + level.first_link, 2 * level.groups,
+                level.bandwidth);
   }
   link_efficiency_.assign(link_count, 1.0);
   link_head_.assign(link_count, kNullHook);
@@ -145,13 +164,11 @@ void FlowNetwork::unlink_flow(std::uint32_t slot) {
 sim::Task<bool> FlowNetwork::transfer(int src_node, int dst_node, Bytes bytes,
                                       bool force_loopback,
                                       double wire_multiplier, bool via_top) {
-  // A down link refuses new work before any bandwidth is allocated — even
-  // a zero-byte header cannot cross it.
-  if (!path_up(src_node, dst_node, force_loopback, via_top)) co_return false;
-  if (bytes == 0) co_return true;
-  const FlowHandle h = start_flow_impl(src_node, dst_node, bytes,
-                                       force_loopback, wire_multiplier, {},
-                                       via_top);
+  FlowHandle h;
+  if (!open_flow(src_node, dst_node, bytes, force_loopback, wire_multiplier,
+                 {}, via_top, h)) {
+    co_return false;
+  }
   co_return co_await FlowAwaiter{*this, h};
 }
 
@@ -169,100 +186,114 @@ FlowNetwork::FlowHandle FlowNetwork::start_flow(int src_node, int dst_node,
     }
     return FlowHandle{};
   }
-  return start_flow_impl(src_node, dst_node, bytes, force_loopback,
-                         wire_multiplier, std::move(on_delivered), via_top);
+  FlowHandle h;
+  // Down links never host flows: the water-filling relies on every
+  // participating link having capacity.
+  const bool up = open_flow(src_node, dst_node, bytes, force_loopback,
+                            wire_multiplier, std::move(on_delivered), via_top,
+                            h);
+  PACC_ASSERT(up);
+  return h;
 }
 
-int FlowNetwork::dragonfly_links(int src_node, int dst_node, bool via_top,
-                                 std::int32_t* out) const {
-  const int sr = shape_.df_router_of(src_node);
-  const int dr = shape_.df_router_of(dst_node);
-  const int sg = shape_.df_group_of(src_node);
-  const int dg = shape_.df_group_of(dst_node);
-  int n = 0;
-  if (sr == dr && !via_top) return 0;  // same router: HCA links only
-  if (sg == dg && !via_top) {
-    // Group-local: one hop over the group's all-to-all router mesh.
-    out[n++] = df_router_uplink(sr);
-    out[n++] = df_router_downlink(dr);
+int FlowNetwork::route(int src_node, int dst_node, bool force_loopback,
+                       bool via_top, std::int32_t* links) const {
+  if (src_node == dst_node && !force_loopback && !via_top) {
+    links[0] = shm_link(src_node);
+    return 1;
+  }
+  links[0] = uplink(src_node);
+  links[1] = downlink(dst_node);
+  int n = 2;
+  // Climb level by level until the endpoints share a group (or, via_top,
+  // all the way to the top): each level crossed costs the source group's
+  // up link and the destination group's down link.
+  int src_group[kMaxLevels];
+  int dst_group[kMaxLevels];
+  int climb = 0;
+  for (const Level& level : levels_) {
+    const int sg = level.group_of(src_node);
+    const int dg = level.group_of(dst_node);
+    if (sg == dg && !via_top) break;
+    src_group[climb] = sg;
+    dst_group[climb] = dg;
+    ++climb;
+  }
+  if (!nested_routes_) {
+    for (int l = 0; l < climb; ++l) {
+      const Level& level = levels_[static_cast<std::size_t>(l)];
+      links[n++] = level.uplink(src_group[l]);
+      links[n++] = level.downlink(dst_group[l]);
+    }
     return n;
   }
-  // Cross-group (or the collapse's forced representative path): source
-  // router into the mesh, source group's global link out, destination
-  // group's global link in, destination router out of the mesh.
-  out[n++] = df_router_uplink(sr);
-  out[n++] = df_global_uplink(sg);
-  const int groups = shape_.df_groups();
-  if (shape_.dragonfly.adaptive && !via_top && sg != dg && groups >= 3) {
-    // Valiant detour: land in a deterministic intermediate group and
-    // re-emerge onto the global plane. The intermediate is the first
-    // group after the source that is neither endpoint — deterministic, so
-    // runs stay byte-identical at any job count.
-    int mid = (sg + 1) % groups;
-    while (mid == sg || mid == dg) mid = (mid + 1) % groups;
-    out[n++] = df_global_downlink(mid);
-    out[n++] = df_global_uplink(mid);
+  for (int l = 0; l < climb; ++l) {
+    links[n++] = levels_[static_cast<std::size_t>(l)].uplink(src_group[l]);
   }
-  out[n++] = df_global_downlink(dg);
-  out[n++] = df_router_downlink(dr);
+  if (valiant_ && !via_top && climb == static_cast<int>(levels_.size()) &&
+      levels_.back().groups >= 3) {
+    // Valiant detour: land in a deterministic intermediate group and
+    // re-emerge onto the global plane (the intermediate group's router
+    // mesh is abstracted away). The intermediate is the first group after
+    // the source that is neither endpoint — deterministic, so runs stay
+    // byte-identical at any job count.
+    const Level& top = levels_.back();
+    const int sg = src_group[climb - 1];
+    const int dg = dst_group[climb - 1];
+    int mid = (sg + 1) % top.groups;
+    while (mid == sg || mid == dg) mid = (mid + 1) % top.groups;
+    links[n++] = top.downlink(mid);
+    links[n++] = top.uplink(mid);
+  }
+  for (int l = climb - 1; l >= 0; --l) {
+    links[n++] = levels_[static_cast<std::size_t>(l)].downlink(dst_group[l]);
+  }
   return n;
 }
 
-void FlowNetwork::route_flow(Flow& flow, int src_node, int dst_node,
-                             bool force_loopback, bool via_top) const {
-  if (src_node == dst_node && !force_loopback && !via_top) {
-    flow.links[0] = shm_link(src_node);
-    flow.nlinks = 1;
-    // One core drives this copy; it cannot exceed the per-core copy rate
-    // even when the aggregate memory channel has headroom.
-    flow.rate_cap = params_.shm_per_flow_bandwidth;
-    return;
-  }
-  flow.links[0] = uplink(src_node);
-  flow.links[1] = downlink(dst_node);
-  flow.nlinks = 2;
-  if (shape_.has_dragonfly()) {
-    flow.nlinks = static_cast<std::uint8_t>(
-        2 + dragonfly_links(src_node, dst_node, via_top, flow.links + 2));
-    return;
-  }
-  if (shape_.has_fabric()) {
-    // Climb level by level until the endpoints share a group (or, via_top,
-    // all the way to the core crossbar): each level crossed costs the
-    // source group's uplink and the destination group's downlink.
-    for (int level = 0; level < shape_.fabric_levels(); ++level) {
-      const int sg = shape_.fabric_group_of(src_node, level);
-      const int dg = shape_.fabric_group_of(dst_node, level);
-      if (sg == dg && !via_top) break;
-      flow.links[flow.nlinks++] = fabric_uplink(level, sg);
-      flow.links[flow.nlinks++] = fabric_downlink(level, dg);
+bool FlowNetwork::links_up(const std::int32_t* links, int nlinks) const {
+  for (int k = 0; k < nlinks; ++k) {
+    if (!(link_efficiency_[static_cast<std::size_t>(links[k])] > 0.0)) {
+      return false;
     }
-    return;
   }
-  const int src_rack = shape_.rack_of(src_node);
-  const int dst_rack = shape_.rack_of(dst_node);
-  if (rack_layer_enabled() && (src_rack != dst_rack || via_top)) {
-    flow.links[2] = rack_uplink(src_rack);
-    flow.links[3] = rack_downlink(dst_rack);
-    flow.nlinks = 4;
-  }
+  return true;
 }
 
-FlowNetwork::FlowHandle FlowNetwork::start_flow_impl(
-    int src_node, int dst_node, Bytes bytes, bool force_loopback,
-    double wire_multiplier, sim::Callback on_delivered, bool via_top) {
+bool FlowNetwork::path_up(int src_node, int dst_node, bool force_loopback,
+                          bool via_top) const {
+  std::int32_t links[kMaxLinks];
+  return links_up(links,
+                  route(src_node, dst_node, force_loopback, via_top, links));
+}
+
+bool FlowNetwork::open_flow(int src_node, int dst_node, Bytes bytes,
+                            bool force_loopback, double wire_multiplier,
+                            sim::Callback on_delivered, bool via_top,
+                            FlowHandle& h) {
   PACC_EXPECTS(src_node >= 0 && src_node < shape_.nodes);
   PACC_EXPECTS(dst_node >= 0 && dst_node < shape_.nodes);
-  PACC_EXPECTS(bytes > 0);
   PACC_EXPECTS(wire_multiplier >= 1.0);
-  // Down links never host flows: transfer() refuses them up front, and the
-  // water-filling below relies on every participating link having capacity.
-  PACC_ASSERT(path_up(src_node, dst_node, force_loopback, via_top));
-
+  // Routed straight into a slot; a refused or empty transfer hands the
+  // slot back untouched otherwise.
   const std::uint32_t slot = alloc_flow();
   Flow& flow = flows_[slot];
+  const int nlinks =
+      route(src_node, dst_node, force_loopback, via_top, flow.links);
+  // A down link refuses new work before any bandwidth is allocated — even
+  // a zero-byte header cannot cross it. The shared-memory channel never
+  // faults.
+  const bool up = links_up(flow.links, nlinks);
+  if (!up || bytes == 0) {
+    free_flows_.push_back(slot);
+    return up;
+  }
+
+  flow.nlinks = static_cast<std::uint8_t>(nlinks);
   flow.rate = 0.0;
-  flow.rate_cap = 0.0;
+  // One core drives a shared-memory copy; it cannot exceed the per-core
+  // copy rate even when the aggregate memory channel has headroom.
+  flow.rate_cap = nlinks == 1 ? params_.shm_per_flow_bandwidth : 0.0;
   flow.wf_rate = 0.0;
   flow.payload = bytes;
   flow.remaining = static_cast<double>(bytes) * wire_multiplier;
@@ -274,13 +305,12 @@ FlowNetwork::FlowHandle FlowNetwork::start_flow_impl(
   flow.on_delivered = std::move(on_delivered);
   flow.active = true;
 
-  route_flow(flow, src_node, dst_node, force_loopback, via_top);
-
   link_flow(slot);
   ++active_count_;
   ++flows_started_;
   note_dirty(flow.links, flow.nlinks);
-  return FlowHandle{slot, flow.gen};
+  h = FlowHandle{slot, flow.gen};
+  return true;
 }
 
 // -------------------------------------------- deferred recompute flush ----
@@ -356,15 +386,16 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   }
   if (comp_flows_.empty()) return;  // e.g. the last flow on a link departed
 
-  // Contention penalty: an HCA link serving n flows runs at reduced
-  // efficiency; the shared-memory channel is exempt.
-  const int first_shm_link = 2 * shape_.nodes;
+  // Contention penalty: an HCA link — ids [0, 2N) — serving n flows runs
+  // at reduced efficiency; the shared-memory channels and every switch
+  // link are exempt.
+  const int hca_links = 2 * shape_.nodes;
   for (const std::int32_t link : comp_links_) {
     const auto l = static_cast<std::size_t>(link);
     const auto n = static_cast<int>(link_nflows_[l]);
-    const bool is_shm = link >= first_shm_link;
+    const bool is_hca = link < hca_links;
     const double eff =
-        (!is_shm && n > 1)
+        (is_hca && n > 1)
             ? 1.0 / (1.0 + params_.contention_penalty * (n - 1))
             : 1.0;
     wf_active_[l] = n;
@@ -585,124 +616,44 @@ void FlowNetwork::on_complete(std::uint32_t slot, std::uint32_t gen) {
 
 // ------------------------------------------------- link state (faults) ----
 
-bool FlowNetwork::path_up(int src_node, int dst_node,
-                          bool force_loopback, bool via_top) const {
-  if (src_node == dst_node && !force_loopback && !via_top) {
-    return true;  // the shared-memory channel never faults
+FaultUnit FlowNetwork::fault_unit(int unit) const {
+  PACC_EXPECTS(unit >= 0 && unit < fault_units_);
+  if (unit < shape_.nodes) {
+    return {"hca node", "hca_down", unit, uplink(unit), downlink(unit)};
   }
-  auto up = [this](int link) {
-    return link_efficiency_[static_cast<std::size_t>(link)] > 0.0;
-  };
-  if (!up(uplink(src_node)) || !up(downlink(dst_node))) return false;
-  if (shape_.has_dragonfly()) {
-    std::int32_t links[kMaxLinks - 2];
-    const int n = dragonfly_links(src_node, dst_node, via_top, links);
-    for (int k = 0; k < n; ++k) {
-      if (!up(links[k])) return false;
+  int g = unit - shape_.nodes;
+  for (const Level& level : levels_) {
+    if (g < level.groups) {
+      return {level.unit_label, level.unit_span, g, level.uplink(g),
+              level.downlink(g)};
     }
-    return true;
+    g -= level.groups;
   }
-  if (shape_.has_fabric()) {
-    for (int level = 0; level < shape_.fabric_levels(); ++level) {
-      const int sg = shape_.fabric_group_of(src_node, level);
-      const int dg = shape_.fabric_group_of(dst_node, level);
-      if (sg == dg && !via_top) break;
-      if (!up(fabric_uplink(level, sg)) || !up(fabric_downlink(level, dg))) {
-        return false;
-      }
-    }
-    return true;
-  }
-  if (rack_layer_enabled()) {
-    const int src_rack = shape_.rack_of(src_node);
-    const int dst_rack = shape_.rack_of(dst_node);
-    if ((src_rack != dst_rack || via_top) &&
-        (!up(rack_uplink(src_rack)) || !up(rack_downlink(dst_rack)))) {
-      return false;
-    }
-  }
-  return true;
+  PACC_ASSERT(false);
+  return {};
 }
 
-void FlowNetwork::set_hca_efficiency(int node, double efficiency) {
-  PACC_EXPECTS(node >= 0 && node < shape_.nodes);
-  set_unit_efficiency(uplink(node), downlink(node), efficiency);
-}
-
-void FlowNetwork::set_rack_efficiency(int rack, double efficiency) {
-  PACC_EXPECTS(rack >= 0 && rack < shape_.racks());
-  set_unit_efficiency(rack_uplink(rack), rack_downlink(rack), efficiency);
-}
-
-double FlowNetwork::hca_efficiency(int node) const {
-  PACC_EXPECTS(node >= 0 && node < shape_.nodes);
-  return link_efficiency_[static_cast<std::size_t>(uplink(node))];
-}
-
-double FlowNetwork::rack_efficiency(int rack) const {
-  PACC_EXPECTS(rack >= 0 && rack < shape_.racks());
-  return link_efficiency_[static_cast<std::size_t>(rack_uplink(rack))];
-}
-
-void FlowNetwork::set_fabric_efficiency(int level, int group,
-                                        double efficiency) {
-  PACC_EXPECTS(level >= 0 && level < shape_.fabric_levels());
-  PACC_EXPECTS(group >= 0 && group < shape_.fabric_groups(level));
-  set_unit_efficiency(fabric_uplink(level, group),
-                      fabric_downlink(level, group), efficiency);
-}
-
-double FlowNetwork::fabric_efficiency(int level, int group) const {
-  PACC_EXPECTS(level >= 0 && level < shape_.fabric_levels());
-  PACC_EXPECTS(group >= 0 && group < shape_.fabric_groups(level));
-  return link_efficiency_[static_cast<std::size_t>(fabric_uplink(level, group))];
-}
-
-void FlowNetwork::set_dragonfly_router_efficiency(int router,
-                                                  double efficiency) {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(router >= 0 && router < shape_.df_routers_total());
-  set_unit_efficiency(df_router_uplink(router), df_router_downlink(router),
-                      efficiency);
-}
-
-void FlowNetwork::set_dragonfly_global_efficiency(int group,
-                                                  double efficiency) {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(group >= 0 && group < shape_.df_groups());
-  set_unit_efficiency(df_global_uplink(group), df_global_downlink(group),
-                      efficiency);
-}
-
-double FlowNetwork::dragonfly_router_efficiency(int router) const {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(router >= 0 && router < shape_.df_routers_total());
-  return link_efficiency_[static_cast<std::size_t>(df_router_uplink(router))];
-}
-
-double FlowNetwork::dragonfly_global_efficiency(int group) const {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(group >= 0 && group < shape_.df_groups());
-  return link_efficiency_[static_cast<std::size_t>(df_global_uplink(group))];
-}
-
-void FlowNetwork::set_unit_efficiency(std::int32_t l1, std::int32_t l2,
-                                      double efficiency) {
+void FlowNetwork::set_unit_efficiency(int unit, double efficiency) {
   PACC_EXPECTS(efficiency >= 0.0 && efficiency <= 1.0);
+  const FaultUnit u = fault_unit(unit);
   // Settle any rates deferred to the pending zero-delay flush before the
   // preemption below inspects and kills flows.
   flush_dirty();
-  link_efficiency_[static_cast<std::size_t>(l1)] = efficiency;
-  link_efficiency_[static_cast<std::size_t>(l2)] = efficiency;
+  link_efficiency_[static_cast<std::size_t>(u.uplink)] = efficiency;
+  link_efficiency_[static_cast<std::size_t>(u.downlink)] = efficiency;
   // Recompute seeds: the unit's own links plus every link of every
   // preempted flow — a departing flow frees bandwidth in components the
   // downed unit itself is not part of. Cold path; allocation is fine.
-  std::vector<std::int32_t> seeds = {l1, l2};
+  std::vector<std::int32_t> seeds = {u.uplink, u.downlink};
   if (efficiency <= 0.0) {
-    preempt_link_flows(l1, seeds);
-    preempt_link_flows(l2, seeds);
+    preempt_link_flows(u.uplink, seeds);
+    preempt_link_flows(u.downlink, seeds);
   }
   recompute_component(seeds.data(), static_cast<int>(seeds.size()));
+}
+
+double FlowNetwork::unit_efficiency(int unit) const {
+  return link_efficiency_[static_cast<std::size_t>(fault_unit(unit).uplink)];
 }
 
 void FlowNetwork::preempt_link_flows(std::int32_t link,

@@ -4,11 +4,11 @@
 // for this scale), so at the paper's scale contention arises only at the
 // endpoints: every node has one HCA uplink and one downlink of fixed
 // bandwidth, and one intra-node shared-memory channel. Beyond that scale
-// the shape may describe a multi-level fat-tree (ClusterShape::fabric):
-// each level groups nodes behind a shared pair of aggregation up/downlinks
-// whose bandwidth the level's oversubscription ratio thins out, and a flow
-// additionally traverses the aggregation links of every level below its
-// endpoints' lowest common group. Each in-flight message is a fluid flow
+// the shape may add switch levels — a rack layer, a multi-level fat tree or
+// a dragonfly — which the network holds as one table (see Level): each
+// level groups nodes behind a shared pair of up/down links, and a flow
+// additionally traverses the links of every level below its endpoints'
+// lowest common group. Each in-flight message is a fluid flow
 // across the links it traverses; rates are recomputed by max–min
 // water-filling whenever a flow starts or ends, and completion events are
 // rescheduled accordingly.
@@ -58,11 +58,9 @@ struct NetworkParams {
   /// Per-direction bandwidth of a rack's aggregation uplink (topology-aware
   /// extension, §VIII). Inter-rack traffic of all of a rack's nodes shares
   /// this; with nodes_per_rack·link_bandwidth greater than this, the fabric
-  /// is oversubscribed, as production rack switches are. 0 disables the
-  /// rack layer even when the shape defines racks. Ignored when the shape
-  /// carries a multi-level fabric (ClusterShape::fabric), whose per-level
-  /// aggregation bandwidths derive from link_bandwidth and each level's
-  /// oversubscription ratio instead.
+  /// is oversubscribed, as production rack switches are. Must be positive
+  /// on a racked shape; unused otherwise (fat-tree and dragonfly levels
+  /// derive their bandwidths from link_bandwidth and the shape).
   double rack_bandwidth = 6.4e9;  ///< bytes/second
 
   /// Per-message CPU start-up cost for an inter-node send at fmax/T0
@@ -86,9 +84,10 @@ struct NetworkParams {
   /// HCA link efficiency loss per extra concurrent flow: a link carrying n
   /// flows delivers bw / (1 + contention_penalty·(n-1)). Models packet
   /// interleaving / HoL blocking losses that make 8 ranks per HCA slower
-  /// than 4 (Fig 2a) and that the proposed Alltoall halves (§V-A). The
-  /// shared-memory channel is exempt: memory controllers interleave
-  /// concurrent streams without this loss.
+  /// than 4 (Fig 2a) and that the proposed Alltoall halves (§V-A). Only
+  /// HCA links pay it: memory controllers interleave concurrent streams on
+  /// the shared-memory channel without this loss, and switch links model
+  /// a switch fabric, not an endpoint.
   double contention_penalty = 0.04;
 
   /// Wire-efficiency loss when an endpoint core runs below fmax: the
@@ -135,6 +134,38 @@ struct NetworkParams {
                          double sender_throttle_slowdown,
                          double receiver_freq_slowdown,
                          double receiver_throttle_slowdown) const;
+};
+
+/// One level of switches above the node HCAs. Every topology a
+/// ClusterShape describes is a stack of these, bottom-up: the rack layer is
+/// one level, a fat tree has one per FabricLevelSpec, and a dragonfly has
+/// two, its routers and then its groups (a minimal-routed dragonfly is,
+/// link for link, a two-level fat tree). Nodes are grouped consecutively:
+/// node n sits in group n / nodes_per_group, and the last group may be
+/// ragged (racks). Each group owns one up and one down link of `bandwidth`
+/// bytes/second per direction; the up links are [first_link, first_link +
+/// groups) and the down links follow. That link pair is also the group's
+/// fault unit.
+struct Level {
+  int nodes_per_group = 1;
+  int groups = 1;
+  double bandwidth = 0.0;
+  int first_link = 0;
+  const char* unit_label = "";  ///< fault-unit trace label, e.g. "rack link"
+  const char* unit_span = "";   ///< outage span name, e.g. "rack_down"
+
+  int group_of(int node) const { return node / nodes_per_group; }
+  int uplink(int group) const { return first_link + group; }
+  int downlink(int group) const { return first_link + groups + group; }
+};
+
+/// One fault unit: a node's HCA or one switch group's up/down link pair.
+struct FaultUnit {
+  const char* label;  ///< trace label, e.g. "hca node" or "df global"
+  const char* span;   ///< outage span name, e.g. "hca_down"
+  int index;          ///< the node, or the group within its level
+  int uplink;
+  int downlink;
 };
 
 /// Fluid-flow network over a cluster.
@@ -187,34 +218,28 @@ class FlowNetwork {
            flows_[h.slot].active;
   }
 
+  /// The switch levels above the HCAs, bottom-up; empty on a flat switch.
+  const std::vector<Level>& levels() const { return levels_; }
+
+  /// Link ids in use: HCA up links [0, N), HCA down links [N, 2N), the
+  /// shared-memory channels [2N, 3N), then every level's links.
+  std::size_t link_count() const { return link_bandwidth_.size(); }
+
   // --- link state (fault layer) ---
   //
-  // Efficiency of a node's HCA (both directions together) or of a rack's
-  // aggregation link: 1 = healthy, in (0,1) = degraded bandwidth, 0 = down.
+  // Fault units, in id order: every node's HCA (unit n = node n), then
+  // every level's groups, level-major. A unit's efficiency covers both of
+  // its links: 1 = healthy, in (0,1) = degraded bandwidth, 0 = down.
   // Taking a unit down preempts every flow crossing it — their transfer()
   // awaiters resume with false — and new flows across a down link are
   // refused by transfer() before any bandwidth is allocated. Only the
   // reliability layer may own flows on a fault-capable fabric:
   // fire-and-forget flows (start_flow) must not cross flapping links.
 
-  void set_hca_efficiency(int node, double efficiency);
-  void set_rack_efficiency(int rack, double efficiency);
-  double hca_efficiency(int node) const;
-  double rack_efficiency(int rack) const;
-
-  /// Efficiency of one fat-tree aggregation group's up/down link pair
-  /// (multi-level fabrics only; `level` / `group` follow ClusterShape's
-  /// fabric indexing).
-  void set_fabric_efficiency(int level, int group, double efficiency);
-  double fabric_efficiency(int level, int group) const;
-
-  /// Efficiency of one dragonfly router's local link pair (into/out of the
-  /// group's all-to-all mesh) or of one group's global link pair (dragonfly
-  /// shapes only; routers are numbered group-major as in ClusterShape).
-  void set_dragonfly_router_efficiency(int router, double efficiency);
-  void set_dragonfly_global_efficiency(int group, double efficiency);
-  double dragonfly_router_efficiency(int router) const;
-  double dragonfly_global_efficiency(int group) const;
+  int fault_units() const { return fault_units_; }
+  FaultUnit fault_unit(int unit) const;
+  void set_unit_efficiency(int unit, double efficiency);
+  double unit_efficiency(int unit) const;
 
   /// Whether every link of the path src→dst currently has bandwidth. The
   /// shared-memory channel never faults, so intra-node paths (unless forced
@@ -278,10 +303,9 @@ class FlowNetwork {
   std::vector<FlowView> snapshot_flows();
 
  private:
-  /// HCA up + down, plus an aggregation up + down pair at every fat-tree
-  /// level (the legacy rack layer counts as one level).
-  static constexpr int kMaxFabricLevels = 3;
-  static constexpr int kMaxLinks = 2 + 2 * kMaxFabricLevels;
+  /// HCA up + down, plus an up + down pair at every switch level.
+  static constexpr int kMaxLevels = 3;
+  static constexpr int kMaxLinks = 2 + 2 * kMaxLevels;
   static constexpr std::uint32_t kNoBatch = 0xffffffffu;
 
   /// A per-link list hook names one membership — flow slot `slot`, listed
@@ -340,58 +364,29 @@ class FlowNetwork {
   int uplink(int node) const { return node; }
   int downlink(int node) const { return shape_.nodes + node; }
   int shm_link(int node) const { return 2 * shape_.nodes + node; }
-  int rack_uplink(int rack) const { return 3 * shape_.nodes + rack; }
-  int rack_downlink(int rack) const {
-    return 3 * shape_.nodes + shape_.racks() + rack;
-  }
-  // Fat-tree aggregation links live past the legacy id space; per level,
-  // all up links first, then all down links.
-  int fabric_uplink(int level, int group) const {
-    return fabric_link_base_[static_cast<std::size_t>(level)] + group;
-  }
-  int fabric_downlink(int level, int group) const {
-    return fabric_link_base_[static_cast<std::size_t>(level)] +
-           shape_.fabric_groups(level) + group;
-  }
-  bool rack_layer_enabled() const {
-    return shape_.has_racks() && params_.rack_bandwidth > 0.0;
-  }
-  // Dragonfly links live past the HCA/shm id space (fabric and dragonfly
-  // are mutually exclusive): per-router local up/down pairs first, then
-  // per-group global up/down pairs.
-  int df_router_uplink(int router) const { return df_link_base_ + router; }
-  int df_router_downlink(int router) const {
-    return df_link_base_ + shape_.df_routers_total() + router;
-  }
-  int df_global_uplink(int group) const {
-    return df_link_base_ + 2 * shape_.df_routers_total() + group;
-  }
-  int df_global_downlink(int group) const {
-    return df_link_base_ + 2 * shape_.df_routers_total() +
-           shape_.df_groups() + group;
-  }
 
-  /// Appends the dragonfly portion of the path src→dst (the links between
-  /// the two HCAs) to `out`; returns how many were written (0, 2, 4 or 6).
-  /// With `via_top`, the minimal cross-group path is forced even for
-  /// router- or group-local endpoints — the symmetry-collapse runtime's
-  /// representative routing; its six link ids are distinct even when
-  /// src == dst. Adaptive routing detours cross-group traffic through a
-  /// deterministic Valiant intermediate group (global links only; the
-  /// intermediate group's router mesh is abstracted away), needs at least
-  /// three groups, and never applies under via_top.
-  int dragonfly_links(int src_node, int dst_node, bool via_top,
-                      std::int32_t* out) const;
+  /// The one route walker: writes the links of the path src→dst, in the
+  /// order the water-filling visits them, to `links` (room for kMaxLinks)
+  /// and returns how many. Intra-node traffic takes the shared-memory
+  /// channel — the only one-link route — unless `force_loopback` or
+  /// `via_top` sends it out through the HCA. Otherwise the path is both
+  /// HCAs plus, for every level the endpoints do not share a group at
+  /// (every level under `via_top`), the source group's up link and the
+  /// destination group's down link. Fat trees and racks list those pairs
+  /// level by level (up0 down0 up1 down1); a dragonfly nests them (up0 up1
+  /// down1 down0), and its adaptive routing inserts a Valiant detour
+  /// through a deterministic intermediate group's global links at the top,
+  /// never under via_top.
+  int route(int src_node, int dst_node, bool force_loopback, bool via_top,
+            std::int32_t* links) const;
+  bool links_up(const std::int32_t* links, int nlinks) const;
 
-  /// Fills flow.links/nlinks with the path src→dst (see transfer() for
-  /// force_loopback / via_top semantics) and sets the shm rate cap when the
-  /// path is the intra-node channel.
-  void route_flow(Flow& flow, int src_node, int dst_node, bool force_loopback,
-                  bool via_top) const;
-
-  FlowHandle start_flow_impl(int src_node, int dst_node, Bytes bytes,
-                             bool force_loopback, double wire_multiplier,
-                             sim::Callback on_delivered, bool via_top);
+  /// Routes src→dst once; returns false, starting nothing, when a link on
+  /// the path is down. Otherwise starts the flow (none for zero bytes)
+  /// and stores its handle in `h`.
+  bool open_flow(int src_node, int dst_node, Bytes bytes, bool force_loopback,
+                 double wire_multiplier, sim::Callback on_delivered,
+                 bool via_top, FlowHandle& h);
 
   /// Runs — or, with coalesce_rate_recomputes, defers to a zero-delay
   /// flush — the water-filling pass for an arrival/departure touching
@@ -402,8 +397,6 @@ class FlowNetwork {
   /// entry points that need rates current before they act).
   void flush_dirty();
 
-  void set_unit_efficiency(std::int32_t l1, std::int32_t l2,
-                           double efficiency);
   void preempt_link_flows(std::int32_t link,
                           std::vector<std::int32_t>& seeds);
 
@@ -444,10 +437,14 @@ class FlowNetwork {
   hw::ClusterShape shape_;
   NetworkParams params_;
 
-  /// First link id of each fabric level's aggregation links.
-  std::vector<int> fabric_link_base_;
-  /// First link id of the dragonfly router/global links (dragonfly shapes).
-  int df_link_base_ = 0;
+  /// The switch levels, built once from the shape and params.
+  std::vector<Level> levels_;
+  /// Route order, a property of the topology kind: a dragonfly nests its
+  /// levels' links (see route()); racks and fat trees interleave them.
+  bool nested_routes_ = false;
+  /// Adaptive dragonfly: cross-group routes take a Valiant detour.
+  bool valiant_ = false;
+  int fault_units_ = 0;
 
   // Deferred-recompute state (coalesce_rate_recomputes).
   std::vector<std::int32_t> dirty_seeds_;

@@ -131,6 +131,12 @@ RunStatus validate(const SweepCell& cell) {
       return RunStatus::error("invalid fabric description");
     }
   }
+  if (cell.cluster.nodes_per_rack > 0 &&
+      !(cell.cluster.network.value_or(presets::paper_network())
+            .rack_bandwidth > 0.0)) {
+    // FlowNetwork enforces this as a hard contract.
+    return RunStatus::error("rack layer needs rack_bandwidth > 0");
+  }
   return {};
 }
 

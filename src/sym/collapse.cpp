@@ -1,5 +1,7 @@
 #include "sym/collapse.hpp"
 
+#include <algorithm>
+
 #include "fault/fault.hpp"
 #include "pacc/simulation.hpp"
 
@@ -22,7 +24,8 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 /// equivariant. If it is applicable, the XOR-structured variant (fabric
 /// shape, power-of-two nodes and ppn) is equivariant; the flat-switch
 /// circle tournament is not.
-bool proposed_is_equivariant(const ClusterConfig& config) {
+bool proposed_is_equivariant(const ClusterConfig& config,
+                              const hw::ClusterShape& topology) {
   int sockets = 2;
   int cores_per_socket = 4;
   if (config.machine) {
@@ -36,8 +39,8 @@ bool proposed_is_equivariant(const ClusterConfig& config) {
   const bool applicable =
       config.nodes >= 2 && sockets == 2 && both_sockets_populated;
   if (!applicable) return true;  // falls back to DVFS over pairwise
-  return (!config.fabric.empty() || config.dragonfly.enabled()) &&
-         is_pow2(config.nodes) && is_pow2(ppn);
+  return topology.translation_group_nodes() > 0 && is_pow2(config.nodes) &&
+         is_pow2(ppn);
 }
 
 }  // namespace
@@ -47,6 +50,10 @@ CollapseDecision decide(const ClusterConfig& config,
   if (config.collapse_multiplicity == 1) {
     return full("collapse disabled by config");
   }
+  hw::ClusterShape topology;
+  topology.nodes = config.nodes;
+  topology.fabric = config.fabric;
+  topology.dragonfly = config.dragonfly;
 
   // --- the run itself must be symmetric ----------------------------------
   switch (spec.op) {
@@ -63,7 +70,8 @@ CollapseDecision decide(const ClusterConfig& config,
       break;  // per-call DVFS is a per-rank uniform action
     case coll::PowerScheme::kProposed:
       // Barrier has no §V variant — it runs DVFS-wrapped dissemination.
-      if (spec.op != coll::Op::kBarrier && !proposed_is_equivariant(config)) {
+      if (spec.op != coll::Op::kBarrier &&
+          !proposed_is_equivariant(config, topology)) {
         return full(
             "proposed scheme's circle tournament is not "
             "translation-equivariant on flat shapes");
@@ -107,19 +115,10 @@ CollapseDecision decide(const ClusterConfig& config,
         "adaptive dragonfly routing picks absolute intermediate groups — "
         "not translation-equivariant; use minimal routing to collapse");
   }
-  const bool grouped_fabric =
-      !config.fabric.empty() || config.dragonfly.enabled();
-  int nodes_per_group = 1;
-  if (config.dragonfly.enabled()) {
-    nodes_per_group =
-        config.dragonfly.routers_per_group * config.dragonfly.nodes_per_router;
-  } else {
-    for (const hw::FabricLevelSpec& level : config.fabric) {
-      nodes_per_group *= level.group_size;
-    }
-  }
-  const int groups =
-      grouped_fabric ? config.nodes / nodes_per_group : config.nodes;
+  // On a flat switch every node is its own translation group.
+  const int nodes_per_group =
+      std::max(1, topology.translation_group_nodes());
+  const int groups = config.nodes / nodes_per_group;
   if (groups < 2) {
     return full("single top-level group: no classes to merge");
   }
@@ -136,7 +135,7 @@ CollapseDecision decide(const ClusterConfig& config,
 
   // --- faults pin events to named nodes: de-collapse, with blame ---------
   if (config.faults.active()) {
-    const int group_nodes = grouped_fabric ? config.nodes / groups : 1;
+    const int group_nodes = config.nodes / groups;
     CollapseDecision broken = full("fault injection breaks rank symmetry");
     for (int node :
          fault::FaultInjector::straggler_nodes(config.faults, config.nodes)) {

@@ -158,6 +158,30 @@ TEST(Campaign, InvalidCellYieldsErrorNotAbort) {
   EXPECT_TRUE(results[2].status.ok());
 }
 
+TEST(Campaign, RackLayerWithoutBandwidthYieldsError) {
+  CollectiveBenchSpec bench;
+  bench.op = coll::Op::kBcast;
+  bench.message = 1024;
+  bench.iterations = 1;
+  bench.warmup = 0;
+  ClusterConfig racked = test::small_cluster(2, 4, 2);
+  racked.nodes_per_rack = 1;
+  net::NetworkParams network = presets::paper_network();
+  network.rack_bandwidth = 0.0;  // FlowNetwork would abort on this
+  racked.network = network;
+  ClusterConfig flat = test::small_cluster(2, 4, 2);
+  flat.network = network;  // unused without racks
+
+  SweepSpec sweep;
+  sweep.add(racked, bench, "racked");
+  sweep.add(flat, bench, "flat");
+  const auto results = Campaign(sweep).run();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status.outcome, RunOutcome::kError);
+  EXPECT_EQ(results[0].status.message, "rack layer needs rack_bandwidth > 0");
+  EXPECT_TRUE(results[1].status.ok()) << results[1].status.describe();
+}
+
 TEST(Campaign, ProgressIsOrderedAndCancelShortCircuits) {
   const SweepSpec sweep = small_sweep();
   Campaign* handle = nullptr;

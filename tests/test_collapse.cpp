@@ -61,15 +61,20 @@ sim::Task<> transfer_probe(net::FlowNetwork& net, sim::Engine& e, int src,
 TEST(FabricShape, ValidityAndDerivedBandwidth) {
   hw::ClusterShape shape = fabric_shape(8, {{4, 2.0}});
   EXPECT_TRUE(shape.valid());
-  EXPECT_EQ(shape.fabric_groups(0), 2);
-  EXPECT_EQ(shape.fabric_group_of(3, 0), 0);
-  EXPECT_EQ(shape.fabric_group_of(4, 0), 1);
+  sim::Engine e;
+  const net::FlowNetwork net(e, shape, flat_params());
+  ASSERT_EQ(net.levels().size(), 1u);
+  const net::Level& level = net.levels()[0];
+  EXPECT_EQ(level.groups, 2);
+  EXPECT_EQ(level.group_of(3), 0);
+  EXPECT_EQ(level.group_of(4), 1);
   // 4 children × 1 GB/s at 2:1 oversubscription = 2 GB/s per direction.
-  EXPECT_DOUBLE_EQ(shape.fabric_link_bandwidth(0, 1e9), 2e9);
+  EXPECT_DOUBLE_EQ(level.bandwidth, 2e9);
 
   // Explicit bandwidth overrides the derivation.
   shape.fabric[0].bandwidth = 0.5e9;
-  EXPECT_DOUBLE_EQ(shape.fabric_link_bandwidth(0, 1e9), 0.5e9);
+  const net::FlowNetwork overridden(e, shape, flat_params());
+  EXPECT_DOUBLE_EQ(overridden.levels()[0].bandwidth, 0.5e9);
 
   // Group sizes must divide the node count evenly…
   EXPECT_FALSE(fabric_shape(8, {{3, 1.0}}).valid());
@@ -119,8 +124,10 @@ TEST(FabricNetwork, FlowsClimbOnlyAsManyLevelsAsTheyNeed) {
   net::FlowNetwork net(e, fabric_shape(8, {{2, 1.0}, {2, 2.0}}),
                        flat_params());
   // Killing the TOP-level group 0 links must strand only traffic that has
-  // to reach the core crossbar from nodes 0-3.
-  net.set_fabric_efficiency(1, 0, 0.0);
+  // to reach the core crossbar from nodes 0-3. Its fault unit follows the
+  // 8 HCAs and the 4 level-0 groups.
+  const int top_group0 = 8 + 4;
+  net.set_unit_efficiency(top_group0, 0.0);
   EXPECT_TRUE(net.path_up(0, 1));   // same level-0 group: no fabric at all
   EXPECT_TRUE(net.path_up(0, 2));   // same level-1 group: stops at level 0
   EXPECT_FALSE(net.path_up(0, 4));  // crosses the dead top-level links
@@ -128,9 +135,35 @@ TEST(FabricNetwork, FlowsClimbOnlyAsManyLevelsAsTheyNeed) {
   // via_top forces the full climb even for local traffic — the collapse
   // runtime's stand-in for a cross-group flow.
   EXPECT_FALSE(net.path_up(0, 1, /*force_loopback=*/false, /*via_top=*/true));
-  net.set_fabric_efficiency(1, 0, 1.0);
+  net.set_unit_efficiency(top_group0, 1.0);
   EXPECT_TRUE(net.path_up(0, 4));
   EXPECT_TRUE(net.path_up(0, 1, false, true));
+}
+
+sim::Task<> record_transfer(net::FlowNetwork& net, int src, int dst,
+                            bool& landed) {
+  landed = co_await net.transfer(src, dst, 1'000'000);
+}
+
+TEST(FabricNetwork, DownedAggregationUnitPreemptsOnlyCrossGroupFlows) {
+  sim::Engine e;
+  net::FlowNetwork net(e, fabric_shape(8, {{2, 1.0}, {2, 2.0}}),
+                       flat_params());
+  // 1 MB at 1 GB/s: every transfer is still in flight at 100 us.
+  bool cross = true;
+  bool local = false;
+  bool elsewhere = false;
+  e.spawn(record_transfer(net, 0, 4, cross));      // climbs both levels
+  e.spawn(record_transfer(net, 1, 0, local));      // level-0 group 0
+  e.spawn(record_transfer(net, 2, 6, elsewhere));  // from level-0 group 1
+  // Level-0 group 0's unit follows the 8 HCAs.
+  e.schedule(Duration::micros(100),
+             [&net] { net.set_unit_efficiency(8, 0.0); });
+  EXPECT_TRUE(e.run().all_tasks_finished);
+  EXPECT_FALSE(cross);
+  EXPECT_TRUE(local);
+  EXPECT_TRUE(elsewhere);
+  EXPECT_EQ(net.flows_preempted(), 1u);
 }
 
 // ------------------------------------------------------- decide() gate ----

@@ -37,28 +37,45 @@ hw::ClusterShape df_shape(int nodes, int routers_per_group,
   return shape;
 }
 
+net::NetworkParams flat_params() {
+  net::NetworkParams p;
+  p.link_bandwidth = 1e9;
+  p.shm_bandwidth = 2e9;
+  p.contention_penalty = 0.0;
+  return p;
+}
+
 TEST(DragonflyShape, ValidityAndDerivedStructure) {
   hw::ClusterShape shape = df_shape(16, 2, 2);  // 4 groups of 4 nodes
   EXPECT_TRUE(shape.valid());
-  EXPECT_TRUE(shape.has_dragonfly());
-  EXPECT_EQ(shape.df_nodes_per_group(), 4);
-  EXPECT_EQ(shape.df_groups(), 4);
-  EXPECT_EQ(shape.df_routers_total(), 8);
-  EXPECT_EQ(shape.df_router_of(0), 0);
-  EXPECT_EQ(shape.df_router_of(3), 1);
-  EXPECT_EQ(shape.df_router_of(5), 2);
-  EXPECT_EQ(shape.df_group_of(3), 0);
-  EXPECT_EQ(shape.df_group_of(4), 1);
-  EXPECT_EQ(shape.df_group_of(15), 3);
+  EXPECT_TRUE(shape.dragonfly.enabled());
+  EXPECT_EQ(shape.translation_group_nodes(), 4);
+
+  // The network's level table: level 0 = routers, level 1 = groups.
+  sim::Engine e;
+  const net::FlowNetwork net(e, shape, flat_params());
+  ASSERT_EQ(net.levels().size(), 2u);
+  const net::Level& routers = net.levels()[0];
+  const net::Level& groups = net.levels()[1];
+  EXPECT_EQ(groups.nodes_per_group, 4);
+  EXPECT_EQ(groups.groups, 4);
+  EXPECT_EQ(routers.groups, 8);
+  EXPECT_EQ(routers.group_of(0), 0);
+  EXPECT_EQ(routers.group_of(3), 1);
+  EXPECT_EQ(routers.group_of(5), 2);
+  EXPECT_EQ(groups.group_of(3), 0);
+  EXPECT_EQ(groups.group_of(4), 1);
+  EXPECT_EQ(groups.group_of(15), 3);
 
   // Derived bandwidths: router = node_bw × nodes per router, global =
   // node_bw × nodes per group; explicit overrides win.
-  EXPECT_DOUBLE_EQ(shape.df_local_bandwidth(1e9), 2e9);
-  EXPECT_DOUBLE_EQ(shape.df_global_bandwidth(1e9), 4e9);
+  EXPECT_DOUBLE_EQ(routers.bandwidth, 2e9);
+  EXPECT_DOUBLE_EQ(groups.bandwidth, 4e9);
   shape.dragonfly.local_bandwidth = 0.5e9;
   shape.dragonfly.global_bandwidth = 1.5e9;
-  EXPECT_DOUBLE_EQ(shape.df_local_bandwidth(1e9), 0.5e9);
-  EXPECT_DOUBLE_EQ(shape.df_global_bandwidth(1e9), 1.5e9);
+  const net::FlowNetwork overridden(e, shape, flat_params());
+  EXPECT_DOUBLE_EQ(overridden.levels()[0].bandwidth, 0.5e9);
+  EXPECT_DOUBLE_EQ(overridden.levels()[1].bandwidth, 1.5e9);
 }
 
 TEST(DragonflyShape, RejectsIllFormedAndMixedTopologies) {
@@ -66,7 +83,7 @@ TEST(DragonflyShape, RejectsIllFormedAndMixedTopologies) {
   EXPECT_FALSE(df_shape(10, 2, 2).valid());
   // routers_per_group == 0 disables the dragonfly entirely (the shape is
   // a plain flat cluster); nodes_per_router == 0 is ill-formed.
-  EXPECT_FALSE(df_shape(16, 0, 2).has_dragonfly());
+  EXPECT_FALSE(df_shape(16, 0, 2).dragonfly.enabled());
   EXPECT_TRUE(df_shape(16, 0, 2).valid());
   EXPECT_FALSE(df_shape(16, 2, 0).valid());
   // A dragonfly replaces both the fat-tree fabric and the rack layer.
@@ -80,21 +97,15 @@ TEST(DragonflyShape, RejectsIllFormedAndMixedTopologies) {
 
 // ----------------------------------------------------------- routing ----
 
-net::NetworkParams flat_params() {
-  net::NetworkParams p;
-  p.link_bandwidth = 1e9;
-  p.shm_bandwidth = 2e9;
-  p.contention_penalty = 0.0;
-  return p;
-}
-
 /// Expected link ids for the 16-node / 2-router / 2-node shape: HCA
-/// up = node, down = 16 + node, shm = 32 + node; the implicit single
-/// rack always reserves one up/down pair at 48/49 (racks() is 1 even
-/// with no rack layer), so the dragonfly base is 50: router up = 50 + r,
-/// router down = 58 + r, global up = 66 + g, global down = 70 + g.
-constexpr int kUpBase = 0, kDownBase = 16, kRouterUp = 50, kRouterDown = 58,
-              kGlobalUp = 66, kGlobalDown = 70;
+/// up = node, down = 16 + node, shm = 32 + node; the dragonfly levels
+/// follow at 48: router up = 48 + r, router down = 56 + r, global up =
+/// 64 + g, global down = 68 + g.
+constexpr int kUpBase = 0, kDownBase = 16, kRouterUp = 48, kRouterDown = 56,
+              kGlobalUp = 64, kGlobalDown = 68;
+
+/// Fault units of the same shape: 16 HCAs, then 8 routers, then 4 groups.
+constexpr int kRouterUnit = 16, kGlobalUnit = 24;
 
 std::vector<int> flow_links(net::FlowNetwork& net, int src, int dst,
                             bool via_top = false) {
@@ -169,21 +180,21 @@ TEST(DragonflyNetwork, EfficiencyKnobsStrandOnlyCrossingTraffic) {
   net::FlowNetwork net(e, df_shape(16, 2, 2), flat_params());
   // Kill group 1's global link: group-local and other-group traffic keep
   // flowing, anything entering or leaving group 1 is stranded.
-  net.set_dragonfly_global_efficiency(1, 0.0);
+  net.set_unit_efficiency(kGlobalUnit + 1, 0.0);
   EXPECT_TRUE(net.path_up(0, 2));    // group-local
   EXPECT_TRUE(net.path_up(0, 12));   // group 0 → group 3
   EXPECT_FALSE(net.path_up(0, 6));   // into group 1
   EXPECT_FALSE(net.path_up(6, 0));   // out of group 1
-  net.set_dragonfly_global_efficiency(1, 1.0);
+  net.set_unit_efficiency(kGlobalUnit + 1, 1.0);
   EXPECT_TRUE(net.path_up(0, 6));
 
   // Kill router 1 (group 0): its mesh hop dies, same-router traffic and
   // other routers' paths survive.
-  net.set_dragonfly_router_efficiency(1, 0.0);
+  net.set_unit_efficiency(kRouterUnit + 1, 0.0);
   EXPECT_TRUE(net.path_up(0, 1));    // same router, HCA only
   EXPECT_FALSE(net.path_up(0, 2));   // crosses router 1's downlink
   EXPECT_TRUE(net.path_up(4, 6));    // group 1 is untouched
-  net.set_dragonfly_router_efficiency(1, 1.0);
+  net.set_unit_efficiency(kRouterUnit + 1, 1.0);
   EXPECT_TRUE(net.path_up(0, 2));
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -167,6 +168,63 @@ TEST(FaultRecovery, LinkFlapsPreemptFlowsAndRecover) {
   ASSERT_TRUE(report.status.usable()) << report.status.describe();
   EXPECT_EQ(report.status.outcome, RunOutcome::kFaulted);
   EXPECT_GT(report.faults.link_flaps, 0u);
+}
+
+/// Repeats `bytes`-sized transfers src→dst until `end`, calling `on_fail`
+/// at the instant one is refused or preempted.
+sim::Task<> transfer_loop(net::FlowNetwork& net, sim::Engine& e, int src,
+                          int dst, TimePoint end,
+                          std::function<void()> on_fail) {
+  while (e.now() < end) {
+    const bool landed = co_await net.transfer(src, dst, 64 * 1024);
+    if (!landed) {
+      on_fail();
+      co_await e.delay(Duration::micros(10));  // refusals take no time
+    }
+  }
+}
+
+TEST(FaultInjection, FlapsDownFatTreeAggregationUnits) {
+  // A flap-heavy two-level fat tree: 8 nodes in four level-0 pairs under
+  // two level-1 halves. Its aggregation groups are fault units after the 8
+  // HCAs (level-0 groups 8-11, level-1 groups 12-13), so outages land on
+  // them: node 0 → node 7 traffic, which climbs both levels, is preempted
+  // while only aggregation units on its route are down, and node 2 → node
+  // 3 traffic, inside one level-0 group, fails only with one of its HCAs.
+  hw::MachineParams mp = presets::paper_machine(8);
+  mp.shape.fabric = {{2, 1.0}, {2, 2.0}};
+  sim::Engine e;
+  hw::Machine machine(e, mp);
+  net::FlowNetwork net(e, mp.shape, presets::paper_network());
+  ASSERT_EQ(net.fault_units(), 8 + 4 + 2);
+  fault::FaultInjector injector(*FaultSpec::parse("seed=4,flap=2000"), e,
+                                machine, net);
+  injector.arm();
+
+  auto down = [&net](int unit) { return net.unit_efficiency(unit) == 0.0; };
+  int cross_failures = 0;
+  int cross_failures_aggregation_only = 0;
+  int local_failures = 0;
+  int local_failures_without_hca = 0;
+  const TimePoint end = e.now() + Duration::millis(20);
+  e.spawn(transfer_loop(net, e, 0, 7, end, [&] {
+    ++cross_failures;
+    if (!down(0) && !down(7) &&
+        (down(8) || down(11) || down(12) || down(13))) {
+      ++cross_failures_aggregation_only;
+    }
+  }));
+  e.spawn(transfer_loop(net, e, 2, 3, end, [&] {
+    ++local_failures;
+    if (!down(2) && !down(3)) ++local_failures_without_hca;
+  }));
+  e.schedule_at(end, [&injector] { injector.stop(); });
+  EXPECT_TRUE(e.run().all_tasks_finished);
+
+  EXPECT_GT(cross_failures_aggregation_only, 0) << cross_failures;
+  EXPECT_GT(local_failures, 0);  // its HCAs flap too
+  EXPECT_EQ(local_failures_without_hca, 0);
+  EXPECT_GT(injector.stats().flows_preempted, 0u);
 }
 
 TEST(FaultDegradation, DoomedTransitionsFallBackSymmetrically) {
