@@ -11,6 +11,15 @@ namespace pacc::net {
 namespace {
 // Residual bytes below this are treated as delivered (guards double error).
 constexpr double kByteEpsilon = 1e-6;
+
+/// Route-class key: the endpoints and the route mode (0 = through the HCAs,
+/// 1 = the shared-memory channel, 2 = via_top).
+std::uint64_t route_key(int src_node, int dst_node, unsigned mode) {
+  return (static_cast<std::uint64_t>(src_node) << 32 |
+          static_cast<std::uint32_t>(dst_node))
+             << 2 |
+         mode;
+}
 }  // namespace
 
 FlowNetwork::FlowNetwork(sim::Engine& engine, hw::ClusterShape shape,
@@ -96,6 +105,7 @@ FlowNetwork::FlowNetwork(sim::Engine& engine, hw::ClusterShape shape,
   link_head_.assign(link_count, kNullHook);
   link_nflows_.assign(link_count, 0);
   residual_.assign(link_count, 0.0);
+  share_.assign(link_count, 0.0);
   wf_active_.assign(link_count, 0);
   link_epoch_.assign(link_count, 0);
 }
@@ -120,43 +130,156 @@ std::uint32_t FlowNetwork::alloc_flow() {
     free_flows_.pop_back();
     return slot;
   }
-  PACC_ASSERT(flows_.size() < hook_slot(kNullHook));
   flows_.emplace_back();
-  flow_epoch_.push_back(0);
   return static_cast<std::uint32_t>(flows_.size() - 1);
 }
 
-void FlowNetwork::link_flow(std::uint32_t slot) {
+// ----------------------------------------------------- route classes ----
+
+std::uint32_t FlowNetwork::find_class(std::int32_t first_link,
+                                      std::uint64_t key) const {
+  for (std::uint32_t h = link_head_[static_cast<std::size_t>(first_link)];
+       h != kNullHook;) {
+    const RouteClass& rc = classes_[hook_slot(h)];
+    if (rc.key == key) return hook_slot(h);
+    h = rc.next[hook_index(h)];
+  }
+  return kNone;
+}
+
+std::uint32_t FlowNetwork::new_class(std::uint64_t key,
+                                     const std::int32_t* links, int nlinks) {
+  std::uint32_t c;
+  if (!free_classes_.empty()) {
+    c = free_classes_.back();
+    free_classes_.pop_back();
+  } else {
+    PACC_ASSERT(classes_.size() < hook_slot(kNullHook));
+    classes_.emplace_back();
+    class_epoch_.push_back(0);
+    c = static_cast<std::uint32_t>(classes_.size() - 1);
+  }
+  RouteClass& rc = classes_[c];
+  rc.key = key;
+  rc.nlinks = nlinks;
+  std::copy_n(links, nlinks, rc.links);
+  // One core drives a shared-memory copy; it cannot exceed the per-core
+  // copy rate even when the aggregate memory channel has headroom.
+  rc.rate_cap = nlinks == 1 ? params_.shm_per_flow_bandwidth : 0.0;
+  return c;
+}
+
+void FlowNetwork::join_class(std::uint32_t slot, std::uint32_t c) {
   Flow& flow = flows_[slot];
-  for (int k = 0; k < flow.nlinks; ++k) {
-    const auto l = static_cast<std::size_t>(flow.links[k]);
-    const std::uint32_t head = link_head_[l];
-    flow.prev[k] = kNullHook;
-    flow.next[k] = head;
-    if (head != kNullHook) {
-      flows_[hook_slot(head)].prev[hook_index(head)] = hook(slot, k);
-    }
-    link_head_[l] = hook(slot, k);
+  RouteClass& rc = classes_[c];
+  flow.cls = c;
+  flow.stamp = ++stamp_;
+  flow.older = rc.newest;
+  flow.newer = kNone;
+  if (rc.newest != kNone) {
+    flows_[rc.newest].newer = slot;
+  } else {
+    rc.oldest = slot;
+  }
+  rc.newest = slot;
+  const bool listed = ++rc.count > 1;
+  for (int k = 0; k < rc.nlinks; ++k) {
+    const auto l = static_cast<std::size_t>(rc.links[k]);
     ++link_nflows_[l];
+    if (listed) {
+      if (link_head_[l] == hook(c, k)) continue;
+      list_unlink(c, k);
+    }
+    list_push_front(c, k);
   }
 }
 
-void FlowNetwork::unlink_flow(std::uint32_t slot) {
-  Flow& flow = flows_[slot];
-  for (int k = 0; k < flow.nlinks; ++k) {
-    const auto l = static_cast<std::size_t>(flow.links[k]);
-    const std::uint32_t prev = flow.prev[k];
-    const std::uint32_t next = flow.next[k];
-    if (prev != kNullHook) {
-      flows_[hook_slot(prev)].next[hook_index(prev)] = next;
-    } else {
-      link_head_[l] = next;
-    }
-    if (next != kNullHook) {
-      flows_[hook_slot(next)].prev[hook_index(next)] = prev;
-    }
-    --link_nflows_[l];
+void FlowNetwork::leave_class(std::uint32_t slot) {
+  const Flow& flow = flows_[slot];
+  const std::uint32_t c = flow.cls;
+  RouteClass& rc = classes_[c];
+  for (int k = 0; k < rc.nlinks; ++k) {
+    --link_nflows_[static_cast<std::size_t>(rc.links[k])];
   }
+  if (flow.older != kNone) {
+    flows_[flow.older].newer = flow.newer;
+  } else {
+    rc.oldest = flow.newer;
+  }
+  if (flow.newer != kNone) {
+    flows_[flow.newer].older = flow.older;
+  } else {
+    rc.newest = flow.older;
+  }
+  // A class whose newest member left keeps its list positions; the
+  // component walk orders the classes it reaches by newest_stamp() itself.
+  if (--rc.count == 0) {
+    for (int k = 0; k < rc.nlinks; ++k) list_unlink(c, k);
+    free_classes_.push_back(c);
+  }
+}
+
+void FlowNetwork::list_unlink(std::uint32_t c, int k) {
+  const RouteClass& rc = classes_[c];
+  const std::uint32_t prev = rc.prev[k];
+  const std::uint32_t next = rc.next[k];
+  if (prev != kNullHook) {
+    classes_[hook_slot(prev)].next[hook_index(prev)] = next;
+  } else {
+    link_head_[static_cast<std::size_t>(rc.links[k])] = next;
+  }
+  if (next != kNullHook) {
+    classes_[hook_slot(next)].prev[hook_index(next)] = prev;
+  }
+}
+
+void FlowNetwork::list_push_front(std::uint32_t c, int k) {
+  RouteClass& rc = classes_[c];
+  const auto l = static_cast<std::size_t>(rc.links[k]);
+  const std::uint32_t head = link_head_[l];
+  rc.prev[k] = kNullHook;
+  rc.next[k] = head;
+  if (head != kNullHook) {
+    classes_[hook_slot(head)].prev[hook_index(head)] = hook(c, k);
+  }
+  link_head_[l] = hook(c, k);
+}
+
+void FlowNetwork::emit_members(const std::uint32_t* classes, std::size_t n,
+                               std::vector<std::uint32_t>& out) {
+  const std::size_t begin = out.size();
+  std::uint64_t newest = 0;
+  std::uint64_t oldest = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const RouteClass& rc = classes_[classes[i]];
+    newest = std::max(newest, newest_stamp(rc));
+    oldest = std::min(oldest, flows_[rc.oldest].stamp);
+    for (std::uint32_t s = rc.newest; s != kNone; s = flows_[s].older) {
+      out.push_back(s);
+    }
+  }
+  if (n == 1) return;  // one class is newest first already
+  // Merge by stamp. The flows of one run were mostly opened close together,
+  // so their stamps are nearly dense: place each at its distance from the
+  // newest stamp and read the slots back in order (a third of a sort's
+  // cost on the proposed scale cells, docs/PERF.md §10.2). A sparse spread
+  // sorts instead.
+  const std::uint64_t span = newest - oldest + 1;
+  if (span <= 4 * (out.size() - begin) + 64) {
+    merge_slots_.assign(span, kNone);
+    for (std::size_t j = begin; j < out.size(); ++j) {
+      merge_slots_[newest - flows_[out[j]].stamp] = out[j];
+    }
+    out.resize(begin);
+    for (const std::uint32_t s : merge_slots_) {
+      if (s != kNone) out.push_back(s);
+    }
+    return;
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return flows_[a].stamp > flows_[b].stamp;
+            });
 }
 
 // ------------------------------------------------------------ API ----
@@ -251,15 +374,6 @@ int FlowNetwork::route(int src_node, int dst_node, bool force_loopback,
   return n;
 }
 
-bool FlowNetwork::links_up(const std::int32_t* links, int nlinks) const {
-  for (int k = 0; k < nlinks; ++k) {
-    if (!(link_efficiency_[static_cast<std::size_t>(links[k])] > 0.0)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool FlowNetwork::path_up(int src_node, int dst_node, bool force_loopback,
                           bool via_top) const {
   std::int32_t links[kMaxLinks];
@@ -274,27 +388,33 @@ bool FlowNetwork::open_flow(int src_node, int dst_node, Bytes bytes,
   PACC_EXPECTS(src_node >= 0 && src_node < shape_.nodes);
   PACC_EXPECTS(dst_node >= 0 && dst_node < shape_.nodes);
   PACC_EXPECTS(wire_multiplier >= 1.0);
-  // Routed straight into a slot; a refused or empty transfer hands the
-  // slot back untouched otherwise.
-  const std::uint32_t slot = alloc_flow();
-  Flow& flow = flows_[slot];
-  const int nlinks =
-      route(src_node, dst_node, force_loopback, via_top, flow.links);
+  // A flow joins the class of its endpoints and mode; only the first flow
+  // of a class is routed. Every class leaving a node starts at its
+  // shared-memory channel (the one-link route) or its HCA up link.
+  const bool shm = src_node == dst_node && !force_loopback && !via_top;
+  const std::uint64_t key =
+      route_key(src_node, dst_node, via_top ? 2u : shm ? 1u : 0u);
+  std::uint32_t c =
+      find_class(shm ? shm_link(src_node) : uplink(src_node), key);
+  std::int32_t routed[kMaxLinks];
+  const std::int32_t* links = routed;
+  int nlinks = 0;
+  if (c != kNone) {
+    links = classes_[c].links;
+    nlinks = classes_[c].nlinks;
+  } else {
+    nlinks = route(src_node, dst_node, force_loopback, via_top, routed);
+  }
   // A down link refuses new work before any bandwidth is allocated — even
   // a zero-byte header cannot cross it. The shared-memory channel never
   // faults.
-  const bool up = links_up(flow.links, nlinks);
-  if (!up || bytes == 0) {
-    free_flows_.push_back(slot);
-    return up;
-  }
+  const bool up = links_up(links, nlinks);
+  if (!up || bytes == 0) return up;
+  if (c == kNone) c = new_class(key, routed, nlinks);
 
-  flow.nlinks = static_cast<std::uint8_t>(nlinks);
+  const std::uint32_t slot = alloc_flow();
+  Flow& flow = flows_[slot];
   flow.rate = 0.0;
-  // One core drives a shared-memory copy; it cannot exceed the per-core
-  // copy rate even when the aggregate memory channel has headroom.
-  flow.rate_cap = nlinks == 1 ? params_.shm_per_flow_bandwidth : 0.0;
-  flow.wf_rate = 0.0;
   flow.payload = bytes;
   flow.remaining = static_cast<double>(bytes) * wire_multiplier;
   flow.last_update = engine_.now();
@@ -305,10 +425,10 @@ bool FlowNetwork::open_flow(int src_node, int dst_node, Bytes bytes,
   flow.on_delivered = std::move(on_delivered);
   flow.active = true;
 
-  link_flow(slot);
+  join_class(slot, c);
   ++active_count_;
   ++flows_started_;
-  note_dirty(flow.links, flow.nlinks);
+  note_dirty(classes_[c].links, nlinks);
   h = FlowHandle{slot, flow.gen};
   return true;
 }
@@ -347,16 +467,22 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   ++recomputes_;
   if (++epoch_ == 0) {  // u32 wrap: invalidate all stale stamps once
     std::fill(link_epoch_.begin(), link_epoch_.end(), 0u);
-    std::fill(flow_epoch_.begin(), flow_epoch_.end(), 0u);
+    std::fill(class_epoch_.begin(), class_epoch_.end(), 0u);
     epoch_ = 1;
   }
 
-  // Dirty-set propagation: close over the flow/link incidence starting from
-  // the links the triggering flow traverses. Rates outside this connected
-  // component share no link with any flow inside it, so max–min filling
-  // cannot change them — the component is exactly the set that needs work.
+  // Dirty-set propagation: close over the class/link incidence starting
+  // from the links the triggering flow traverses. Rates outside this
+  // connected component share no link with any flow inside it, so max–min
+  // filling cannot change them — the component is exactly the set that
+  // needs work. A class is reached whole, at the first link of the walk
+  // that lists it. The classes first reached at one link append their
+  // links newest member first: a walk over that link's flows, newest
+  // first, would meet each class first at its newest member, and append
+  // its links right there.
   comp_links_.clear();
-  comp_flows_.clear();
+  comp_classes_.clear();
+  comp_runs_.clear();
   for (int i = 0; i < nseeds; ++i) {
     const std::int32_t l = seeds[i];
     if (link_epoch_[static_cast<std::size_t>(l)] != epoch_) {
@@ -366,25 +492,45 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   }
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
     const std::int32_t link = comp_links_[i];
+    const std::size_t reached = comp_classes_.size();
     for (std::uint32_t h = link_head_[static_cast<std::size_t>(link)];
          h != kNullHook;) {
-      const std::uint32_t f = hook_slot(h);
-      const Flow& flow = flows_[f];
-      if (flow_epoch_[f] != epoch_) {
-        flow_epoch_[f] = epoch_;
-        comp_flows_.push_back(f);
-        for (int k = 0; k < flow.nlinks; ++k) {
-          const auto lf = static_cast<std::size_t>(flow.links[k]);
-          if (link_epoch_[lf] != epoch_) {
-            link_epoch_[lf] = epoch_;
-            comp_links_.push_back(flow.links[k]);
-          }
+      const std::uint32_t c = hook_slot(h);
+      if (class_epoch_[c] != epoch_) {
+        class_epoch_[c] = epoch_;
+        comp_classes_.push_back(c);
+      }
+      h = classes_[c].next[hook_index(h)];
+    }
+    const std::size_t end = comp_classes_.size();
+    if (end == reached) continue;
+    // Newest member first (insertion sort). A join moves its class to the
+    // head of each of its lists, and only a departure of a class's newest
+    // member leaves it out of place, so the run is nearly sorted already.
+    for (std::size_t j = reached + 1; j < end; ++j) {
+      const std::uint32_t c = comp_classes_[j];
+      const std::uint64_t newest = newest_stamp(classes_[c]);
+      std::size_t p = j;
+      for (; p > reached &&
+             newest_stamp(classes_[comp_classes_[p - 1]]) < newest;
+           --p) {
+        comp_classes_[p] = comp_classes_[p - 1];
+      }
+      comp_classes_[p] = c;
+    }
+    for (std::size_t j = reached; j < end; ++j) {
+      const RouteClass& rc = classes_[comp_classes_[j]];
+      for (int k = 0; k < rc.nlinks; ++k) {
+        const auto lc = static_cast<std::size_t>(rc.links[k]);
+        if (link_epoch_[lc] != epoch_) {
+          link_epoch_[lc] = epoch_;
+          comp_links_.push_back(rc.links[k]);
         }
       }
-      h = flow.next[hook_index(h)];
     }
+    comp_runs_.push_back(end);
   }
-  if (comp_flows_.empty()) return;  // e.g. the last flow on a link departed
+  if (comp_classes_.empty()) return;  // e.g. the last flow on a link departed
 
   // Contention penalty: an HCA link — ids [0, 2N) — serving n flows runs
   // at reduced efficiency; the shared-memory channels and every switch
@@ -406,75 +552,102 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   // link (smallest equal-share), freeze its flows at that share, remove the
   // consumed bandwidth, and iterate. Each round marks first and applies
   // second, so the frozen set depends only on round-start state — the
-  // result is independent of flow iteration order.
-  unfrozen_.assign(comp_flows_.begin(), comp_flows_.end());
-  while (!unfrozen_.empty()) {
+  // result is independent of iteration order. The members of a class see
+  // the same links, so they freeze together; a frozen class of m members
+  // takes the share off each of its links m times, one subtraction at a
+  // time, exactly as m flows would — every share stays bitwise equal to a
+  // per-flow fill. The round that freezes every remaining class leaves the
+  // residuals alone: nothing reads them again.
+  unfrozen_.assign(comp_classes_.begin(), comp_classes_.end());
+  while (true) {
     double best_share = std::numeric_limits<double>::infinity();
     for (const std::int32_t link : comp_links_) {
       const auto l = static_cast<std::size_t>(link);
       if (wf_active_[l] > 0) {
-        best_share = std::min(best_share, residual_[l] / wf_active_[l]);
+        share_[l] = residual_[l] / wf_active_[l];
+        best_share = std::min(best_share, share_[l]);
       }
     }
     PACC_ASSERT(std::isfinite(best_share) && best_share > 0.0);
+    const double tight = best_share * (1.0 + 1e-12);
 
     frozen_mark_.resize(unfrozen_.size());
+    std::size_t frozen = 0;
     for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
-      const Flow& flow = flows_[unfrozen_[i]];
+      const RouteClass& rc = classes_[unfrozen_[i]];
       bool bottlenecked = false;
-      for (int k = 0; k < flow.nlinks; ++k) {
-        const auto l = static_cast<std::size_t>(flow.links[k]);
-        if (residual_[l] / wf_active_[l] <= best_share * (1.0 + 1e-12)) {
+      for (int k = 0; k < rc.nlinks; ++k) {
+        const auto l = static_cast<std::size_t>(rc.links[k]);
+        if (share_[l] <= tight) {
           bottlenecked = true;
           break;
         }
       }
       frozen_mark_[i] = bottlenecked ? 1 : 0;
+      frozen += bottlenecked ? 1 : 0;
+    }
+    PACC_ASSERT(frozen > 0);
+    if (frozen == unfrozen_.size()) {
+      for (const std::uint32_t c : unfrozen_) classes_[c].wf_rate = best_share;
+      break;
     }
 
     std::size_t kept = 0;
-    std::size_t frozen = 0;
     for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
-      const std::uint32_t slot = unfrozen_[i];
-      if (frozen_mark_[i]) {
-        Flow& flow = flows_[slot];
-        flow.wf_rate = best_share;
-        for (int k = 0; k < flow.nlinks; ++k) {
-          const auto l = static_cast<std::size_t>(flow.links[k]);
-          residual_[l] -= best_share;
-          --wf_active_[l];
-        }
-        ++frozen;
-      } else {
-        unfrozen_[kept++] = slot;
+      const std::uint32_t c = unfrozen_[i];
+      if (!frozen_mark_[i]) {
+        unfrozen_[kept++] = c;
+        continue;
+      }
+      RouteClass& rc = classes_[c];
+      rc.wf_rate = best_share;
+      const auto m = static_cast<std::int32_t>(rc.count);
+      for (int k = 0; k < rc.nlinks; ++k) {
+        const auto l = static_cast<std::size_t>(rc.links[k]);
+        for (std::int32_t j = 0; j < m; ++j) residual_[l] -= best_share;
+        wf_active_[l] -= m;
       }
     }
-    PACC_ASSERT(frozen > 0);
     unfrozen_.resize(kept);
   }
+
+  // Per-flow ceilings (single-core copy rate on the shm channel) apply
+  // after filling — the unclaimed remainder stays unused, as it would on
+  // real hardware.
+  const auto class_rate = [](const RouteClass& rc) {
+    return rc.rate_cap > 0.0 && rc.wf_rate > rc.rate_cap ? rc.rate_cap
+                                                         : rc.wf_rate;
+  };
 
   // When the filling reproduced every flow's current (capped) rate, the
   // whole reschedule pass is moot: skip it before reading the clock or
   // touching the heap. Common after a no-op topology event or when a
   // deferred flush races an eager recompute at the same instant.
   bool any_change = false;
-  for (const std::uint32_t slot : comp_flows_) {
-    const Flow& flow = flows_[slot];
-    double rate = flow.wf_rate;
-    if (flow.rate_cap > 0.0 && rate > flow.rate_cap) rate = flow.rate_cap;
-    if (rate != flow.rate) {
-      any_change = true;
-      break;
+  for (const std::uint32_t c : comp_classes_) {
+    const RouteClass& rc = classes_[c];
+    const double rate = class_rate(rc);
+    for (std::uint32_t s = rc.oldest; s != kNone; s = flows_[s].newer) {
+      any_change |= flows_[s].rate != rate;
     }
+    if (any_change) break;
   }
   if (!any_change) {
     ++noop_recomputes_;
     return;
   }
 
-  // Apply per-flow ceilings (single-core copy rate on the shm channel) —
-  // the unclaimed remainder stays unused, as it would on real hardware —
-  // then reschedule only the completions whose rate actually changed.
+  // The component's flows in the order a walk over each link's flows,
+  // newest first, would have met them: run by run, each run's members
+  // merged newest first.
+  comp_flows_.clear();
+  std::size_t begin = 0;
+  for (const std::size_t end : comp_runs_) {
+    emit_members(comp_classes_.data() + begin, end - begin, comp_flows_);
+    begin = end;
+  }
+
+  // Reschedule only the completions whose rate actually changed.
   // Same-instant reschedules within this pass share one engine event
   // (steady-state fast-forward); the pass scratch tracks the batches
   // opened so far.
@@ -483,8 +656,7 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   pass_batch_ids_.clear();
   for (const std::uint32_t slot : comp_flows_) {
     Flow& flow = flows_[slot];
-    double rate = flow.wf_rate;
-    if (flow.rate_cap > 0.0 && rate > flow.rate_cap) rate = flow.rate_cap;
+    const double rate = class_rate(classes_[flow.cls]);
     if (rate == flow.rate) continue;  // exact equality: event stays put
 
     // Advance the flow's progress at the old rate before adopting the new
@@ -592,10 +764,11 @@ void FlowNetwork::on_complete(std::uint32_t slot, std::uint32_t gen) {
   bytes_delivered_ += static_cast<std::uint64_t>(flow.payload);
 
   std::int32_t dead_links[kMaxLinks];
-  const int nlinks = flow.nlinks;
-  for (int k = 0; k < nlinks; ++k) dead_links[k] = flow.links[k];
+  const RouteClass& rc = classes_[flow.cls];
+  const int nlinks = rc.nlinks;
+  std::copy_n(rc.links, nlinks, dead_links);
 
-  unlink_flow(slot);
+  leave_class(slot);
   flow.active = false;
   flow.waiter = {};
   flow.failed_flag = nullptr;
@@ -658,24 +831,26 @@ double FlowNetwork::unit_efficiency(int unit) const {
 
 void FlowNetwork::preempt_link_flows(std::int32_t link,
                                      std::vector<std::int32_t>& seeds) {
-  const auto l = static_cast<std::size_t>(link);
-  std::vector<std::uint32_t> victims;
-  for (std::uint32_t h = link_head_[l]; h != kNullHook;) {
-    victims.push_back(hook_slot(h));
-    h = flows_[hook_slot(h)].next[hook_index(h)];
+  // The link's flows, newest first: the order they joined it.
+  std::vector<std::uint32_t> listed;
+  for (std::uint32_t h = link_head_[static_cast<std::size_t>(link)];
+       h != kNullHook; h = classes_[hook_slot(h)].next[hook_index(h)]) {
+    listed.push_back(hook_slot(h));
   }
+  std::vector<std::uint32_t> victims;
+  if (!listed.empty()) emit_members(listed.data(), listed.size(), victims);
   for (const std::uint32_t slot : victims) {
     Flow& flow = flows_[slot];
-    if (!flow.active) continue;  // shared both directions: already killed
     // Only the reliability layer (transfer + awaiter) may own flows on a
     // fault-capable fabric; a fire-and-forget flow has no way to learn its
     // payload was lost.
     PACC_ASSERT(!flow.on_delivered);
-    for (int k = 0; k < flow.nlinks; ++k) seeds.push_back(flow.links[k]);
+    const RouteClass& rc = classes_[flow.cls];
+    seeds.insert(seeds.end(), rc.links, rc.links + rc.nlinks);
     detach_completion(flow);
     const std::coroutine_handle<> waiter = flow.waiter;
     bool* failed = flow.failed_flag;
-    unlink_flow(slot);
+    leave_class(slot);
     flow.active = false;
     flow.waiter = {};
     flow.failed_flag = nullptr;
@@ -696,10 +871,11 @@ std::vector<FlowNetwork::FlowView> FlowNetwork::snapshot_flows() {
   views.reserve(active_count_);
   for (const Flow& flow : flows_) {
     if (!flow.active) continue;
+    const RouteClass& rc = classes_[flow.cls];
     FlowView view;
-    view.links.assign(flow.links, flow.links + flow.nlinks);
+    view.links.assign(rc.links, rc.links + rc.nlinks);
     view.rate = flow.rate;
-    view.rate_cap = flow.rate_cap;
+    view.rate_cap = rc.rate_cap;
     view.remaining = flow.remaining;
     views.push_back(std::move(view));
   }

@@ -14,14 +14,18 @@
 // rescheduled accordingly.
 //
 // Hot-path structure (see docs/PERF.md): flows live in a slab
-// (std::vector + free list, stable slot indices) threaded onto intrusive
-// per-link lists. A flow arrival/departure recomputes rates only for the
-// connected component of links it can actually affect — discovered by
-// dirty-set propagation over the flow/link incidence — and reschedules only
-// the completion events whose rate changed under an exact equality check.
-// Rates outside the component are provably unchanged (their constraint set
-// is untouched), so the incremental result is identical to a full global
-// recompute.
+// (std::vector + free list, stable slot indices) and are grouped into route
+// classes: every in-flight flow with the same (source node, destination
+// node, route mode) crosses the same links under the same cap, so max–min
+// filling gives it the same rate. A class owns the link list, the cap and
+// an intrusive list of its members, and sits on intrusive per-link class
+// lists. A flow arrival/departure recomputes rates only for the connected
+// component of links it can actually affect — discovered by dirty-set
+// propagation over the class/link incidence — fills over classes, and
+// reschedules only the completion events whose rate changed under an exact
+// equality check. Rates outside the component are provably unchanged (their
+// constraint set is untouched), so the incremental result is identical to a
+// full global recompute.
 //
 // This is what makes the paper's observations emerge organically:
 //  - Fig 2(a): 8 ranks/node sharing one uplink are slower than 4 ranks/node.
@@ -308,42 +312,71 @@ class FlowNetwork {
   static constexpr int kMaxLinks = 2 + 2 * kMaxLevels;
   static constexpr std::uint32_t kNoBatch = 0xffffffffu;
 
-  /// A per-link list hook names one membership — flow slot `slot`, listed
-  /// on its k-th link — packed as slot << kHookBits | k, so a list walk
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// A per-link list hook names one membership — route class `c`, listed
+  /// on its k-th link — packed as c << kHookBits | k, so a list walk
   /// reaches the neighbour's prev/next entry without searching its links[].
   static constexpr int kHookBits = 3;
   static_assert(kMaxLinks <= 1 << kHookBits);
   static constexpr std::uint32_t kNullHook = 0xffffffffu;
-  static std::uint32_t hook(std::uint32_t slot, int k) {
-    return slot << kHookBits | static_cast<std::uint32_t>(k);
+  static std::uint32_t hook(std::uint32_t c, int k) {
+    return c << kHookBits | static_cast<std::uint32_t>(k);
   }
   static std::uint32_t hook_slot(std::uint32_t h) { return h >> kHookBits; }
   static int hook_index(std::uint32_t h) {
     return static_cast<int>(h & ((1u << kHookBits) - 1));
   }
 
-  /// Slab-allocated flow. Intrusive per-link list hooks (prev/next per
-  /// traversed link) give O(1) unlink without touching a hash map, and the
-  /// slot index stays stable for the flow's lifetime.
+  /// Slab-allocated flow. Its route lives in its class; `stamp` orders it
+  /// among the flows of every link it crosses (a larger stamp joined later).
   struct Flow {
     double remaining = 0.0;  ///< bytes (wire-multiplied)
     double rate = 0.0;       ///< bytes/second
-    double rate_cap = 0.0;   ///< per-flow ceiling; 0 = unlimited
-    double wf_rate = 0.0;    ///< water-filling scratch (uncapped share)
     TimePoint last_update;   ///< when `remaining` was last advanced
     Bytes payload = 0;       ///< un-multiplied bytes, credited on delivery
     sim::EventId completion = 0;
+    std::uint64_t stamp = 0;         ///< link order, from a network counter
     std::uint32_t batch = kNoBatch;  ///< shared completion event, if any
+    std::uint32_t cls = kNone;       ///< its route class
+    std::uint32_t older = kNone;     ///< class member list neighbours
+    std::uint32_t newer = kNone;
     std::coroutine_handle<> waiter;
     bool* failed_flag = nullptr;  ///< awaiter-owned; set on preemption
     sim::Callback on_delivered;
     std::uint32_t gen = 1;
-    std::uint8_t nlinks = 0;
     bool active = false;
-    std::int32_t links[kMaxLinks] = {};
-    std::uint32_t prev[kMaxLinks] = {};  ///< list hooks, per links[i]
-    std::uint32_t next[kMaxLinks] = {};
   };
+
+  /// Every in-flight flow routed src→dst in one mode (HCA, shared memory,
+  /// via_top). The members share the links and the cap, so the
+  /// water-filling treats them as one unit of multiplicity `count`. They
+  /// form an intrusive list through their slots, oldest to newest: a join
+  /// appends, a departure unlinks, neither searches nor allocates. Each
+  /// link lists the classes crossing it; a join moves its class to the
+  /// front. Merging a link's classes' members by stamp, newest first, meets
+  /// its flows in the order they joined it, newest first: the order
+  /// completions are rescheduled and preempted flows are killed in, which
+  /// every trace records. A class is created with its first member, routed
+  /// once, and freed with its last (its slot is reused).
+  struct RouteClass {
+    // What list walks read first.
+    std::uint64_t key = 0;  ///< route_key() of its endpoints and mode
+    std::uint32_t next[kMaxLinks] = {};  ///< list hooks, per links[i]
+    std::int32_t links[kMaxLinks] = {};
+    int nlinks = 0;
+    std::uint32_t prev[kMaxLinks] = {};
+    double rate_cap = 0.0;  ///< per-flow ceiling; 0 = unlimited
+    double wf_rate = 0.0;   ///< water-filling scratch (uncapped share)
+    std::uint32_t oldest = kNone;  ///< member list ends (flow slots)
+    std::uint32_t newest = kNone;
+    std::uint32_t count = 0;  ///< members in flight
+  };
+
+  /// Stamp of the class's newest member: its position on its links.
+  std::uint64_t newest_stamp(const RouteClass& rc) const {
+    return flows_[rc.newest].stamp;
+  }
 
   /// The failure verdict lives in the awaiter (the caller's coroutine
   /// frame), not the flow: by the time the waiter resumes, the flow slot
@@ -379,11 +412,19 @@ class FlowNetwork {
   /// never under via_top.
   int route(int src_node, int dst_node, bool force_loopback, bool via_top,
             std::int32_t* links) const;
-  bool links_up(const std::int32_t* links, int nlinks) const;
+  bool links_up(const std::int32_t* links, int nlinks) const {
+    for (int k = 0; k < nlinks; ++k) {
+      if (!(link_efficiency_[static_cast<std::size_t>(links[k])] > 0.0)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
-  /// Routes src→dst once; returns false, starting nothing, when a link on
-  /// the path is down. Otherwise starts the flow (none for zero bytes)
-  /// and stores its handle in `h`.
+  /// Joins the flow to the route class of src→dst, creating and routing
+  /// the class if no flow of it is in flight; returns false, starting
+  /// nothing, when a link on the path is down. Otherwise starts the flow
+  /// (none for zero bytes) and stores its handle in `h`.
   bool open_flow(int src_node, int dst_node, Bytes bytes, bool force_loopback,
                  double wire_multiplier, sim::Callback on_delivered,
                  bool via_top, FlowHandle& h);
@@ -401,8 +442,24 @@ class FlowNetwork {
                           std::vector<std::int32_t>& seeds);
 
   std::uint32_t alloc_flow();
-  void link_flow(std::uint32_t slot);
-  void unlink_flow(std::uint32_t slot);
+
+  /// The in-flight class with `key` whose route starts at `first_link`, or
+  /// kNone. Every class sits on its first link's list.
+  std::uint32_t find_class(std::int32_t first_link, std::uint64_t key) const;
+  std::uint32_t new_class(std::uint64_t key, const std::int32_t* links,
+                          int nlinks);
+  /// Makes the flow the newest member of class `c`, stamping it and moving
+  /// the class to the head of every link list it sits on.
+  void join_class(std::uint32_t slot, std::uint32_t c);
+  /// Takes the flow out of its class, freeing the class with its last
+  /// member. A class whose newest member left keeps its list positions.
+  void leave_class(std::uint32_t slot);
+  void list_unlink(std::uint32_t c, int k);
+  void list_push_front(std::uint32_t c, int k);
+
+  /// Appends the members of `classes` to `out`, merged newest first.
+  void emit_members(const std::uint32_t* classes, std::size_t n,
+                    std::vector<std::uint32_t>& out);
 
   /// Max–min water-filling restricted to the connected component of links
   /// reachable from `seeds`; reschedules completions whose rate changed.
@@ -453,25 +510,34 @@ class FlowNetwork {
   // Per-link state, indexed by link id.
   std::vector<double> link_bandwidth_;
   std::vector<double> link_efficiency_;     ///< fault layer; 1 = healthy
-  std::vector<std::uint32_t> link_head_;    ///< intrusive list head (hook)
+  std::vector<std::uint32_t> link_head_;    ///< class list head (hook)
   std::vector<std::uint32_t> link_nflows_;  ///< active flows crossing link
 
-  // Flow slab.
+  // Flow and route-class slabs.
   std::vector<Flow> flows_;
   std::vector<std::uint32_t> free_flows_;
   std::size_t active_count_ = 0;
+  std::uint64_t stamp_ = 0;  ///< last flow stamp handed out
+  std::vector<RouteClass> classes_;
+  std::vector<std::uint32_t> free_classes_;
 
   // Reusable recompute scratch (no allocation in steady state). Epoch
-  // stamps mark visited links/flows without per-call clearing.
+  // stamps mark visited links/classes without per-call clearing.
   std::vector<double> residual_;
+  std::vector<double> share_;  ///< residual_ / wf_active_ this round
   std::vector<std::int32_t> wf_active_;
   std::vector<std::uint32_t> link_epoch_;
-  std::vector<std::uint32_t> flow_epoch_;
+  std::vector<std::uint32_t> class_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<std::int32_t> comp_links_;
+  std::vector<std::uint32_t> comp_classes_;
+  /// comp_classes_ split by the link that first reached them: the end
+  /// index of each such run, in discovery order.
+  std::vector<std::size_t> comp_runs_;
   std::vector<std::uint32_t> comp_flows_;
   std::vector<std::uint32_t> unfrozen_;
   std::vector<unsigned char> frozen_mark_;
+  std::vector<std::uint32_t> merge_slots_;  ///< emit_members scratch
 
   // Shared-completion-event slab (steady-state fast-forward), recycled via
   // a free list; the per-pass scratch maps a reschedule target instant to

@@ -237,26 +237,36 @@ TEST(FlowNetwork, ZeroByteTransferCompletesInstantly) {
 
 /// Full-network reference water-filler: progressive filling with two-phase
 /// freeze rounds, per-flow caps applied after filling — the model the
-/// incremental path must reproduce.
+/// incremental path must reproduce. Link bandwidths come from the network's
+/// own layout: HCA links [0, 2N), shared-memory channels [2N, 3N), then
+/// every switch level's up and down links.
 std::vector<double> reference_global_rates(
-    const std::vector<FlowNetwork::FlowView>& flows, int nodes, int racks,
-    const NetworkParams& p) {
-  const int nlinks = 3 * nodes + 2 * racks;
-  std::vector<int> count(static_cast<std::size_t>(nlinks), 0);
+    const std::vector<FlowNetwork::FlowView>& flows, const FlowNetwork& net,
+    int nodes, const NetworkParams& p) {
+  const std::size_t nlinks = net.link_count();
+  std::vector<double> bandwidth(nlinks, 0.0);
+  for (std::size_t l = 0; l < nlinks; ++l) {
+    bandwidth[l] = l < 2 * static_cast<std::size_t>(nodes) ? p.link_bandwidth
+                                                           : p.shm_bandwidth;
+  }
+  for (const Level& level : net.levels()) {
+    for (int g = 0; g < 2 * level.groups; ++g) {
+      bandwidth[static_cast<std::size_t>(level.first_link + g)] =
+          level.bandwidth;
+    }
+  }
+  std::vector<int> count(nlinks, 0);
   for (const auto& f : flows) {
     for (const int l : f.links) ++count[static_cast<std::size_t>(l)];
   }
-  std::vector<double> residual(static_cast<std::size_t>(nlinks), 0.0);
-  std::vector<int> unfrozen(static_cast<std::size_t>(nlinks), 0);
-  for (int l = 0; l < nlinks; ++l) {
-    const auto li = static_cast<std::size_t>(l);
+  std::vector<double> residual(nlinks, 0.0);
+  std::vector<int> unfrozen(nlinks, 0);
+  for (std::size_t li = 0; li < nlinks; ++li) {
     if (count[li] == 0) continue;
-    double bw = l < 2 * nodes   ? p.link_bandwidth
-                : l < 3 * nodes ? p.shm_bandwidth
-                                : p.rack_bandwidth;
+    double bw = bandwidth[li];
     // Only HCA endpoint links pay the contention penalty; the shm channel
-    // (and the rack layer, which models a switch fabric) are exempt.
-    if (l < 2 * nodes && count[li] > 1) {
+    // and every switch link (which model a switch fabric) are exempt.
+    if (li < 2 * static_cast<std::size_t>(nodes) && count[li] > 1) {
       bw /= 1.0 + p.contention_penalty * (count[li] - 1);
     }
     residual[li] = bw;
@@ -267,8 +277,7 @@ std::vector<double> reference_global_rates(
   std::size_t remaining = flows.size();
   while (remaining > 0) {
     double best = std::numeric_limits<double>::infinity();
-    for (int l = 0; l < nlinks; ++l) {
-      const auto li = static_cast<std::size_t>(l);
+    for (std::size_t li = 0; li < nlinks; ++li) {
       if (unfrozen[li] > 0) best = std::min(best, residual[li] / unfrozen[li]);
     }
     std::vector<std::size_t> to_freeze;
@@ -302,49 +311,235 @@ std::vector<double> reference_global_rates(
   return wf;
 }
 
+/// The shapes the incremental filling is checked on: one of every level
+/// kind, each oversubscribed so switch links bind too.
+std::vector<std::pair<const char*, hw::ClusterShape>> churn_shapes() {
+  std::vector<std::pair<const char*, hw::ClusterShape>> shapes;
+  hw::ClusterShape racks{8, 2, 4, /*nodes_per_rack=*/4};
+  shapes.emplace_back("two racks", racks);
+  hw::ClusterShape fat{8, 2, 4};
+  fat.fabric = {{2, 2.0}, {2, 2.0}};
+  shapes.emplace_back("two-level fat tree", fat);
+  hw::ClusterShape df{12, 2, 4};
+  df.dragonfly.routers_per_group = 2;
+  df.dragonfly.nodes_per_router = 2;
+  df.dragonfly.local_bandwidth = 1.5e9;
+  df.dragonfly.global_bandwidth = 2.5e9;
+  shapes.emplace_back("minimal dragonfly", df);
+  df.dragonfly.adaptive = true;
+  shapes.emplace_back("adaptive dragonfly", df);
+  return shapes;
+}
+
 TEST(FlowNetwork, IncrementalRatesMatchFullRecompute) {
-  // Randomized arrival/departure churn over an oversubscribed two-rack
-  // cluster with contention penalty and shm caps active, checkpointed at
-  // fixed simulated times: every active flow's incremental rate must match
-  // the from-scratch global recompute to 1e-12 (relative).
-  const hw::ClusterShape shape{8, 2, 4, /*nodes_per_rack=*/4};
-  for (const std::uint64_t seed : {1u, 7u, 42u}) {
-    sim::Engine e;
-    NetworkParams params = clean_params();
-    params.contention_penalty = 0.07;
-    params.shm_per_flow_bandwidth = 0.9e9;
-    params.rack_bandwidth = 1.5e9;  // 4 nodes/rack × 1 GB/s over 1.5 GB/s
-    FlowNetwork net(e, shape, params);
-    Rng rng(seed);
-    for (int i = 0; i < 120; ++i) {
-      const int src = static_cast<int>(rng.next_below(8));
-      const int dst = static_cast<int>(rng.next_below(8));  // ==src → shm
-      const Bytes bytes = 20'000 + static_cast<Bytes>(rng.next_below(400'000));
-      const double mult = 1.0 + 0.3 * rng.next_double();
-      const auto start =
-          Duration::micros(static_cast<double>(rng.next_below(3000)));
-      e.schedule(start, [&net, src, dst, bytes, mult] {
-        net.start_flow(src, dst, bytes, /*force_loopback=*/false, mult, [] {});
-      });
-    }
-    int flows_checked = 0;
-    const auto checkpoint = [&net, &params, &flows_checked, shape] {
-      const auto flows = net.snapshot_flows();
-      const auto ref =
-          reference_global_rates(flows, shape.nodes, shape.racks(), params);
-      for (std::size_t i = 0; i < flows.size(); ++i) {
-        const double tol = 1e-12 * std::max(1.0, std::abs(ref[i]));
-        EXPECT_NEAR(flows[i].rate, ref[i], tol) << "flow " << i;
-        ++flows_checked;
+  // Randomized arrival/departure churn, checkpointed at fixed simulated
+  // times, over an oversubscribed two-rack cluster, a two-level fat tree
+  // and minimal and adaptive dragonflies, with the contention penalty and
+  // shm caps active: every active flow's incremental rate must match the
+  // from-scratch global recompute to 1e-12 (relative). The flows mix plain,
+  // force_loopback and via_top routes, and a third of them repeat an
+  // earlier (src, dst, mode), so route classes hold many flows at once.
+  for (const auto& [name, shape] : churn_shapes()) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE(testing::Message() << name << ", seed " << seed);
+      sim::Engine e;
+      NetworkParams params = clean_params();
+      params.contention_penalty = 0.07;
+      params.shm_per_flow_bandwidth = 0.9e9;
+      params.rack_bandwidth = 1.5e9;  // 4 nodes/rack × 1 GB/s over 1.5 GB/s
+      FlowNetwork net(e, shape, params);
+      Rng rng(seed);
+      struct Route {
+        int src, dst;
+        bool loopback, via_top;
+      };
+      std::vector<Route> routes;
+      for (int i = 0; i < 120; ++i) {
+        Route r;
+        if (!routes.empty() && rng.next_below(3) == 0) {
+          r = routes[rng.next_below(routes.size())];
+        } else {
+          const auto nodes = static_cast<std::uint64_t>(shape.nodes);
+          r.src = static_cast<int>(rng.next_below(nodes));
+          r.dst = static_cast<int>(rng.next_below(nodes));  // == src: shm
+          const auto mode = rng.next_below(4);
+          r.loopback = mode == 1;
+          r.via_top = mode == 2;
+          routes.push_back(r);
+        }
+        const Bytes bytes =
+            20'000 + static_cast<Bytes>(rng.next_below(400'000));
+        const double mult = 1.0 + 0.3 * rng.next_double();
+        const auto start =
+            Duration::micros(static_cast<double>(rng.next_below(3000)));
+        e.schedule(start, [&net, r, bytes, mult] {
+          net.start_flow(r.src, r.dst, bytes, r.loopback, mult, [] {},
+                         r.via_top);
+        });
       }
-    };
-    // Prime-ish stride so checkpoints land between, not on, arrival ticks.
-    for (int t = 13; t < 6000; t += 37) {
-      e.schedule(Duration::micros(static_cast<double>(t)), checkpoint);
+      int flows_checked = 0;
+      const auto checkpoint = [&net, &params, &flows_checked, &shape] {
+        const auto flows = net.snapshot_flows();
+        const auto ref =
+            reference_global_rates(flows, net, shape.nodes, params);
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+          const double tol = 1e-12 * std::max(1.0, std::abs(ref[i]));
+          EXPECT_NEAR(flows[i].rate, ref[i], tol) << "flow " << i;
+          ++flows_checked;
+        }
+      };
+      // Prime-ish stride so checkpoints land between, not on, arrival
+      // ticks.
+      for (int t = 13; t < 6000; t += 37) {
+        e.schedule(Duration::micros(static_cast<double>(t)), checkpoint);
+      }
+      e.run();
+      EXPECT_EQ(net.active_flows(), 0u);
+      EXPECT_GT(flows_checked, 200) << "churn did not overlap the checkpoints";
+    }
+  }
+}
+
+/// Transfers `bytes` src→dst and appends `id` to `log` when the transfer
+/// returns, with its verdict.
+sim::Task<> logged_transfer(FlowNetwork& net, int src, int dst, Bytes bytes,
+                            int id, std::vector<std::pair<int, bool>>& log) {
+  const bool landed = co_await net.transfer(src, dst, bytes);
+  log.emplace_back(id, landed);
+}
+
+TEST(FlowNetwork, SameInstantCompletionsAndPreemptionsFollowLinkOrder) {
+  // Three route classes interleaved on node 0's uplink: A = 0→1, B = 0→2,
+  // C = 0→3. Flows that complete at one instant complete — and flows a
+  // downed link kills are killed — in the order a walk over the uplink's
+  // flows, newest first, meets them: by start order, newest first, across
+  // classes. The order reaches every trace and every later event.
+  const auto run = [](bool preempt) {
+    sim::Engine e;
+    FlowNetwork net(e, kShape, clean_params());
+    std::vector<std::pair<int, bool>> log;
+    // Start order: A1 B1 A2 C1 B2 C2 A3. The 1 MB flows share the uplink
+    // and finish together; A3 is short and leaves first, so class A's
+    // newest member departs while its others stay.
+    const int dst[] = {1, 2, 1, 3, 2, 3, 1};
+    for (int i = 0; i < 7; ++i) {
+      e.spawn(logged_transfer(net, 0, dst[i], i == 6 ? 10'000 : 1'000'000, i,
+                              log));
+    }
+    if (preempt) {
+      e.schedule(Duration::micros(500),
+                 [&net] { net.set_unit_efficiency(0, 0.0); });
     }
     e.run();
-    EXPECT_EQ(net.active_flows(), 0u);
-    EXPECT_GT(flows_checked, 200) << "churn did not overlap the checkpoints";
+    return log;
+  };
+
+  // A3 first; then the rest at one instant, newest first.
+  const std::vector<std::pair<int, bool>> completed = {
+      {6, true}, {5, true}, {4, true}, {3, true},
+      {2, true}, {1, true}, {0, true}};
+  EXPECT_EQ(run(false), completed);
+  // Downing node 0's HCA at 500 µs kills the six long flows, newest first.
+  const std::vector<std::pair<int, bool>> preempted = {
+      {6, true},  {5, false}, {4, false}, {3, false},
+      {2, false}, {1, false}, {0, false}};
+  EXPECT_EQ(run(true), preempted);
+}
+
+TEST(FlowNetwork, SparselyStampedClassesMergeInLinkOrder) {
+  // Two route classes on node 0's uplink, X = 0→1 and Y = 0→2, whose
+  // stamps lie far apart: 100 flows 2→3 start between X's first flow and
+  // the rest, so the merge of X and Y spans 104 stamps for 4 flows and
+  // sorts instead of placing them densely. The order is the same rule's:
+  // newest first across classes, at a same-instant completion and at a
+  // preemption alike.
+  const auto run = [](bool preempt) {
+    sim::Engine e;
+    FlowNetwork net(e, kShape, clean_params());
+    std::vector<std::pair<int, bool>> log;
+    std::vector<std::pair<int, bool>> spacers;
+    e.spawn(logged_transfer(net, 0, 1, 1'000'000, 0, log));  // X1
+    for (int i = 0; i < 100; ++i) {
+      e.spawn(logged_transfer(net, 2, 3, 10'000, i, spacers));
+    }
+    e.spawn(logged_transfer(net, 0, 2, 1'000'000, 1, log));  // Y1
+    e.spawn(logged_transfer(net, 0, 1, 1'000'000, 2, log));  // X2
+    e.spawn(logged_transfer(net, 0, 2, 1'000'000, 3, log));  // Y2
+    if (preempt) {
+      e.schedule(Duration::micros(500),
+                 [&net] { net.set_unit_efficiency(0, 0.0); });
+    }
+    e.run();
+    EXPECT_EQ(spacers.size(), 100u);
+    return log;
+  };
+
+  const std::vector<std::pair<int, bool>> completed = {
+      {3, true}, {2, true}, {1, true}, {0, true}};
+  EXPECT_EQ(run(false), completed);
+  const std::vector<std::pair<int, bool>> preempted = {
+      {3, false}, {2, false}, {1, false}, {0, false}};
+  EXPECT_EQ(run(true), preempted);
+}
+
+/// Delivery order of a random churn: 80 flows of 10–40 KB between any two
+/// of 8 nodes (a quarter via_top), started on a 5 µs grid so arrivals and
+/// completions pile up on shared instants, on racks, a two-level fat tree
+/// or a minimal dragonfly by `seed` % 3. Returns an FNV-1a hash of the flow
+/// ids in delivery order.
+std::uint64_t churn_delivery_order(std::uint64_t seed) {
+  hw::ClusterShape shape{8, 2, 4};
+  switch (seed % 3) {
+    case 0:
+      shape.nodes_per_rack = 4;
+      break;
+    case 1:
+      shape.fabric = {{2, 2.0}, {2, 2.0}};
+      break;
+    default:
+      shape.dragonfly.routers_per_group = 2;
+      shape.dragonfly.nodes_per_router = 2;
+  }
+  sim::Engine e;
+  NetworkParams params = clean_params();
+  params.rack_bandwidth = 1.5e9;
+  FlowNetwork net(e, shape, params);
+  Rng rng(seed);
+  std::vector<int> log;
+  for (int i = 0; i < 80; ++i) {
+    const int src = static_cast<int>(rng.next_below(8));
+    const int dst = static_cast<int>(rng.next_below(8));
+    const bool via_top = rng.next_below(4) == 0;
+    const Bytes bytes = 10'000 * static_cast<Bytes>(1 + rng.next_below(4));
+    const auto start =
+        Duration::micros(static_cast<double>(5 * rng.next_below(20)));
+    e.schedule(start, [&net, &log, src, dst, bytes, i, via_top] {
+      net.start_flow(
+          src, dst, bytes, false, 1.0, [&log, i] { log.push_back(i); },
+          via_top);
+    });
+  }
+  e.run();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const int id : log) {
+    h ^= static_cast<std::uint64_t>(id);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(FlowNetwork, ChurnDeliversInTheRecordedOrder) {
+  // Recorded with the per-flow network, which walked each link's flows
+  // newest first. Seeds 832, 1191 and 1254 need the component walk to
+  // order a link's newly reached route classes by their newest member: a
+  // class whose newest member left keeps its list position, and walking it
+  // there reorders the links the walk appends, and with them the flows.
+  const std::pair<std::uint64_t, std::uint64_t> recorded[] = {
+      {1, 0x0610e444d57b5117ull}, {2, 0xf34a10db15fdf703ull},
+      {3, 0xf1e3ad14ff7602a1ull}, {832, 0x5cdd74831bde30ddull},
+      {1191, 0xa46d1327d34e1f5full}, {1254, 0xb2eae572dfe4591full}};
+  for (const auto& [seed, order] : recorded) {
+    EXPECT_EQ(churn_delivery_order(seed), order) << "seed " << seed;
   }
 }
 
